@@ -7,8 +7,8 @@ import csv
 from dataclasses import dataclass
 from typing import Optional
 
-from .decycling import DEFAULT_ORACLE_LIMIT, analyze
-from .errors import OracleLimitError
+from .decycling import analyze
+from .errors import ParseError
 from .families import FamilySpec
 from .multigraph import Multigraph
 from .optimize import optimize_decomposition
@@ -81,11 +81,7 @@ def run_instance(
     oracle_limit: Optional[int] = None,
 ) -> BenchRow:
     d = _pick_decomposition(g, strategy, seed, budget)
-    cap = DEFAULT_ORACLE_LIMIT if oracle_limit is None else oracle_limit
-    try:
-        report = analyze(g, d, seed=seed, oracle_limit=cap)
-    except OracleLimitError:
-        report = analyze(g, d, seed=seed, compute_exact=False)
+    report = analyze(g, d, seed=seed, oracle_limit=oracle_limit)
     return BenchRow(
         graph_id=graph_id,
         n_vertices=report.n_vertices,
@@ -108,6 +104,8 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
          "strategies": ["greedy", ...],      # optional, default all three
          "seed": 0, "budget": 200, "oracle_limit": 20}
     """
+    if not isinstance(spec, dict) or "instances" not in spec:
+        raise ParseError("bench spec must be a JSON object with an 'instances' list")
     strategies = tuple(spec.get("strategies", STRATEGIES))
     for s in strategies:
         if s not in STRATEGIES:
@@ -117,6 +115,10 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
     oracle_limit = spec.get("oracle_limit")
     rows: list[BenchRow] = []
     for idx, inst in enumerate(spec["instances"]):
+        if not isinstance(inst, dict) or "family" not in inst:
+            raise ParseError(
+                f"bench instance {idx} must be a JSON object with a 'family'"
+            )
         fam = FamilySpec(inst["family"], dict(inst.get("params", {})))
         graph_id = str(inst.get("id", f"{idx}:{fam.label()}"))
         g = fam.build()

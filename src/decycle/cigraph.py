@@ -14,9 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .decompose import CycleDecomposition, decomposition_violations
-from .errors import InvalidDecompositionError
-from .multigraph import Multigraph
+from .decompose import CycleDecomposition, _require_valid
+from .multigraph import Multigraph, find_root
 
 
 @dataclass(frozen=True)
@@ -62,16 +61,9 @@ class ForestCover:
 
 def _component_count(node_count: int, pairs) -> int:
     parent = list(range(node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     comps = node_count
     for a, b in pairs:
-        ra, rb = find(a), find(b)
+        ra, rb = find_root(parent, a), find_root(parent, b)
         if ra != rb:
             parent[ra] = rb
             comps -= 1
@@ -80,16 +72,19 @@ def _component_count(node_count: int, pairs) -> int:
 
 def build_ci(g: Multigraph, d: CycleDecomposition) -> CIGraph:
     """Cycle intersection graph of ``d``: a node per cycle, a link per
-    shared vertex per cycle pair."""
-    problems = decomposition_violations(g, d)
-    if problems:
-        raise InvalidDecompositionError("; ".join(problems))
-    links: list[Link] = []
+    shared vertex per cycle pair. Raises ``InvalidDecompositionError``
+    unless ``d`` is a cycle decomposition of ``g``."""
+    _require_valid(g, d)
+    return _build_ci(d)
+
+
+def _build_ci(d: CycleDecomposition) -> CIGraph:
+    """``build_ci`` for a decomposition already known to be valid."""
+    links: list[Link] = []  # built in (a, b, label) order
     for i, j in combinations(range(len(d.cycles)), 2):
         shared = d.cycles[i].vertex_set & d.cycles[j].vertex_set
         for v in sorted(shared):
             links.append(Link(i, j, v))
-    links.sort(key=lambda l: (l.a, l.b, l.label))
     comp = _component_count(len(d.cycles), [l.pair() for l in links])
     return CIGraph(len(d.cycles), tuple(links), comp)
 

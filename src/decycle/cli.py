@@ -274,14 +274,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("exact", help="exhaustive exact decycling number")
     _add_input_args(pe)
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--seed", type=int, default=0,
+                    help="seed for generating --family random_even or cycle_tree")
     pe.add_argument("--oracle-limit", type=int, default=None)
     pe.add_argument("--json", action="store_true")
     pe.set_defaults(func=_cmd_exact)
 
     pg = sub.add_parser("gen", help="emit a family graph as an edge list")
     _add_input_args(pg)
-    pg.add_argument("--seed", type=int, default=0)
+    pg.add_argument("--seed", type=int, default=0,
+                    help="seed for generating --family random_even or cycle_tree")
     pg.add_argument("-o", "--output", help="write to file instead of stdout")
     pg.set_defaults(func=_cmd_gen)
 

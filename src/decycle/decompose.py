@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from .errors import InvalidDecompositionError, NotEvenError
+from .errors import InvalidDecompositionError, NotEvenError, ParseError
 from .multigraph import Multigraph, is_connected, is_even
 
 
@@ -63,6 +63,10 @@ class CycleDecomposition:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CycleDecomposition":
+        if not isinstance(obj, dict) or not {"cycles", "edge_ids"} <= obj.keys():
+            raise ParseError(
+                "decomposition must be a JSON object with 'cycles' and 'edge_ids'"
+            )
         verts = obj["cycles"]
         eids = obj["edge_ids"]
         if len(verts) != len(eids):

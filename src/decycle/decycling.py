@@ -17,12 +17,14 @@ graphs and anchors every bound in the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .cigraph import CIGraph, Link, build_ci, cycle_rank, msf, restrict_ci
-from .decompose import CycleDecomposition, decompose_greedy, decomposition_violations
+from .cigraph import CIGraph, ForestCover, Link, _build_ci, cycle_rank, is_simple
+from .cigraph import msf, restrict_ci
+from .decompose import CycleDecomposition, _require_valid, decompose_greedy
 from .errors import (
     DisconnectedError,
     InvalidDecompositionError,
@@ -30,7 +32,8 @@ from .errors import (
     NotEvenError,
     OracleLimitError,
 )
-from .multigraph import DecyclingSet, Multigraph, is_acyclic, is_connected, is_even
+from .multigraph import DecyclingSet, Multigraph, find_root, is_acyclic
+from .multigraph import is_connected, is_even
 
 DEFAULT_ORACLE_LIMIT = 20
 
@@ -54,34 +57,6 @@ def bound_edge_count(ci: CIGraph) -> int:
 
 
 # -- construction from CI structure ------------------------------------------
-
-
-def _cover_picks(
-    g: Multigraph,
-    d: CycleDecomposition,
-    sub_ci: CIGraph,
-    node_map: list[int],
-    alive: list[int],
-) -> set[int]:
-    """One vertex per surviving cycle, via the forest cover of ``sub_ci``.
-
-    Matched links contribute their label (killing both endpoint cycles);
-    each isolated node contributes one vertex of its cycle, preferably
-    one lying on no other surviving cycle.
-    """
-    cover = msf(sub_ci)
-    picks: set[int] = set()
-    on_alive: dict[int, int] = {}
-    for i in alive:
-        for v in d.cycles[i].vertices:
-            on_alive[v] = on_alive.get(v, 0) + 1
-    for link in cover.chosen_links:
-        picks.add(link.label)
-    for node in cover.isolated_nodes:
-        cyc = d.cycles[node_map[node]]
-        pick = min(cyc.vertices, key=lambda v: (on_alive[v] > 1, v))
-        picks.add(pick)
-    return picks
 
 
 def _strip_to_forest(ci: CIGraph) -> set[int]:
@@ -112,16 +87,9 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
     # feedback links of the remaining simple graph: grow a spanning
     # forest, preferring to keep links whose labels are not yet paid for
     parent = list(range(ci.node_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     survivors.sort(key=lambda l: (l.label in removed, l.label, l.a, l.b))
     for link in survivors:
-        ra, rb = find(link.a), find(link.b)
+        ra, rb = find_root(parent, link.a), find_root(parent, link.b)
         if ra == rb:
             removed.add(link.label)
         else:
@@ -131,18 +99,31 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
 
 def _construct_decycling(
     g: Multigraph, d: CycleDecomposition, ci: CIGraph
-) -> DecyclingSet:
+) -> tuple[DecyclingSet, ForestCover]:
+    """The general construction: strip ``ci`` to a forest, cover the
+    surviving cycles, certify. Also returns that forest cover; on a
+    forest CI nothing is stripped, so it is ``msf(ci)``.
+
+    A matched cover link contributes its label (killing both endpoint
+    cycles); an isolated node contributes one vertex of its cycle,
+    preferably one lying on no other surviving cycle.
+    """
     stripped_labels = _strip_to_forest(ci)
     alive = [
         i
         for i, cyc in enumerate(d.cycles)
         if not (cyc.vertex_set & stripped_labels)
     ]
-    sub_ci, node_map = restrict_ci(ci, alive)
+    sub_ci, alive = restrict_ci(ci, alive)
     if cycle_rank(sub_ci) != 0:
         raise InvariantError("surviving cycles still form a cyclic CI graph")
-    picks = _cover_picks(g, d, sub_ci, node_map, alive)
-    return certify(g, stripped_labels | picks)
+    cover = msf(sub_ci)
+    on_alive = Counter(v for i in alive for v in d.cycles[i].vertices)
+    picks = {link.label for link in cover.chosen_links}
+    for node in cover.isolated_nodes:
+        cyc = d.cycles[alive[node]]
+        picks.add(min(cyc.vertices, key=lambda v: (on_alive[v] > 1, v)))
+    return certify(g, stripped_labels | picks), cover
 
 
 def decycle_tree_ci(
@@ -151,7 +132,7 @@ def decycle_tree_ci(
     """Certified decycling set of forest-cover size; requires a forest CI."""
     if cycle_rank(ci) != 0:
         raise InvalidDecompositionError("CI graph is cyclic; use decycle_general")
-    return _construct_decycling(g, d, ci)
+    return _construct_decycling(g, d, ci)[0]
 
 
 def decycle_general(
@@ -160,12 +141,11 @@ def decycle_general(
     """Certified decycling set for an arbitrary CI graph.
 
     On a forest CI this degenerates to ``decycle_tree_ci`` exactly: the
-    strip step removes nothing and only the cover picks remain.
+    strip step removes nothing and only the cover picks remain. Raises
+    ``InvalidDecompositionError`` unless ``d`` decomposes ``g``.
     """
-    problems = decomposition_violations(g, d)
-    if problems:
-        raise InvalidDecompositionError("; ".join(problems))
-    return _construct_decycling(g, d, ci)
+    _require_valid(g, d)
+    return _construct_decycling(g, d, ci)[0]
 
 
 # -- exhaustive oracle --------------------------------------------------------
@@ -272,27 +252,36 @@ def analyze(
     if d is None:
         d = decompose_greedy(g, seed)
     else:
-        problems = decomposition_violations(g, d)
-        if problems:
-            raise InvalidDecompositionError("; ".join(problems))
-    ci = build_ci(g, d)
-    cover = msf(ci)
+        _require_valid(g, d)
+    return _report(g, d, oracle_limit, compute_exact)
+
+
+def _report(
+    g: Multigraph,
+    d: CycleDecomposition,
+    oracle_limit: Optional[int],
+    compute_exact: bool,
+) -> BoundReport:
+    """``analyze`` of a connected even graph and a valid decomposition."""
+    ci = _build_ci(d)
     rank = cycle_rank(ci)
     witnesses: dict[str, DecyclingSet] = {}
 
     linked = {v for link in ci.links for v in link.pair()}
-    lonely = ci.node_count > 0 and len(linked) < ci.node_count
     edge_count_bound = None
-    if not lonely:
+    if len(linked) == ci.node_count:  # every cycle meets another one
         edge_count_bound = bound_edge_count(ci)
         witnesses["edge_count"] = certify(g, (l.label for l in ci.links))
 
+    # on a forest CI the general construction is the tree construction
+    # and its cover is msf(ci); otherwise the diagnostic needs msf(ci)
+    general_set, cover = _construct_decycling(g, d, ci)
     tree_exact = None
     if rank == 0:
-        witnesses["tree"] = decycle_tree_ci(g, d, ci)
+        witnesses["tree"] = general_set
         tree_exact = cover.size
-
-    general_set = decycle_general(g, d, ci)
+    else:
+        cover = msf(ci)
     witnesses["general"] = general_set
 
     exact = None
@@ -312,7 +301,7 @@ def analyze(
         ci_nodes=ci.node_count,
         ci_links=len(ci.links),
         ci_rank=rank,
-        ci_simple=len({l.pair() for l in ci.links}) == len(ci.links),
+        ci_simple=is_simple(ci),
         rank_cover_gap=rank - cover.size,
         decomposition=d,
     )
@@ -329,24 +318,18 @@ def analyze_components(
     """Analyze each connected component; bounds add across components."""
     if not is_even(g):
         raise NotEvenError("graph is not even: some vertex has odd degree")
-    parts = g.components()
-    if d is None:
-        return [
-            analyze(part, seed=seed, oracle_limit=oracle_limit,
-                    compute_exact=compute_exact)
-            for part in parts
-        ]
-    problems = decomposition_violations(g, d)
-    if problems:
-        raise InvalidDecompositionError("; ".join(problems))
+    if d is not None:
+        _require_valid(g, d)
     out = []
-    for part in parts:
-        eids = set(part.edge_ids)
-        cycles = tuple(c for c in d.cycles if set(c.edges) <= eids)
-        out.append(
-            analyze(part, CycleDecomposition(cycles), seed=seed,
-                    oracle_limit=oracle_limit, compute_exact=compute_exact)
-        )
+    for part in g.components():
+        if d is None:
+            part_d = decompose_greedy(part, seed)
+        else:
+            eids = set(part.edge_ids)
+            part_d = CycleDecomposition(
+                tuple(c for c in d.cycles if set(c.edges) <= eids)
+            )
+        out.append(_report(part, part_d, oracle_limit, compute_exact))
     return out
 
 

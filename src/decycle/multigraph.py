@@ -163,28 +163,33 @@ class Multigraph:
         verts = {v for pair in edges.values() for v in pair}
         return Multigraph(verts, edges)
 
-    def components(self) -> list["Multigraph"]:
-        """Connected components as id-preserving subgraphs, by least vertex."""
-        seen: set[int] = set()
-        out: list[Multigraph] = []
+    def _component_labels(self) -> dict[int, int]:
+        """The least vertex of each vertex's connected component."""
+        label: dict[int, int] = {}
         for start in self._vertices:
-            if start in seen:
+            if start in label:
                 continue
-            comp = {start}
+            label[start] = start
             stack = [start]
             while stack:
                 v = stack.pop()
                 for eid in self._incidence[v]:
-                    w = self.other_endpoint(eid, v)
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            edges = {
-                eid: (u, v) for eid, (u, v) in self._edges.items() if u in comp
-            }
-            out.append(Multigraph(comp, edges))
-        return out
+                    u, w = self._edges[eid]
+                    x = w if u == v else u
+                    if x not in label:
+                        label[x] = start
+                        stack.append(x)
+        return label
+
+    def components(self) -> list["Multigraph"]:
+        """Connected components as id-preserving subgraphs, by least vertex."""
+        label = self._component_labels()
+        parts: dict[int, tuple[list[int], dict[int, tuple[int, int]]]] = {}
+        for v in self._vertices:  # ascending, so parts go by least vertex
+            parts.setdefault(label[v], ([], {}))[0].append(v)
+        for eid, (u, v) in self._edges.items():
+            parts[label[u]][1][eid] = (u, v)
+        return [Multigraph(vs, es) for vs, es in parts.values()]
 
     # -- dunder ----------------------------------------------------------
 
@@ -207,23 +212,23 @@ def is_even(g: Multigraph) -> bool:
 
 def is_connected(g: Multigraph) -> bool:
     """Standard connectivity; the empty graph counts as connected."""
-    if g.n_vertices == 0:
-        return True
-    return len(g.components()) == 1
+    return len(set(g._component_labels().values())) <= 1
+
+
+def find_root(parent, x: int) -> int:
+    """Root of ``x`` in the union-find forest ``parent`` (a list or a
+    dict mapping each element to its parent), halving the path walked."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def is_acyclic(g: Multigraph) -> bool:
     """True iff the graph has no cycle; a parallel pair counts as a 2-cycle."""
     parent = {v: v for v in g.vertices}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for _, u, v in g.edges():
-        ru, rv = find(u), find(v)
+        ru, rv = find_root(parent, u), find_root(parent, v)
         if ru == rv:
             return False
         parent[ru] = rv

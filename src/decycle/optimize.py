@@ -13,14 +13,14 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .cigraph import CIGraph, build_ci, cycle_rank
+from .cigraph import CIGraph, _build_ci, cycle_rank
 from .decompose import (
     CycleDecomposition,
     decompose_greedy,
     enumerate_decompositions,
     neighbors,
 )
-from .decycling import decycle_general
+from .decycling import _construct_decycling
 from .errors import DisconnectedError, NotEvenError
 from .multigraph import Multigraph, is_connected, is_even
 
@@ -46,9 +46,10 @@ class OptimizationResult:
 
 
 def _evaluate(g: Multigraph, d: CycleDecomposition):
-    ci = build_ci(g, d)
+    """Objective key and CI of a decomposition this module generated."""
+    ci = _build_ci(d)
     rank = cycle_rank(ci)
-    bound = len(decycle_general(g, d, ci))
+    bound = len(_construct_decycling(g, d, ci)[0])
     return (rank, bound, d.sort_key), ci
 
 

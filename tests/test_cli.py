@@ -215,6 +215,30 @@ def test_bench_bad_strategy(tmp_path, capsys):
     assert code == 1 and "strategy" in err
 
 
+def test_decomposition_missing_key_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "empty.json"
+    p.write_text("{}")
+    code, _, err = run(
+        capsys, "analyze", "--family", "cycle", "--k", "3", "--decomposition", str(p)
+    )
+    assert code == 1
+    assert err.startswith("error:") and "'cycles'" in err
+    p.write_text("[]")
+    code, _, err = run(
+        capsys, "analyze", "--family", "cycle", "--k", "3", "--decomposition", str(p)
+    )
+    assert code == 1
+    assert err.startswith("error:") and "JSON object" in err
+
+
+def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
+    spec_path = tmp_path / "bench.json"
+    spec_path.write_text(json.dumps({"instances": [{"id": "x"}]}))
+    code, _, err = run(capsys, "bench", str(spec_path))
+    assert code == 1
+    assert err.startswith("error:") and "'family'" in err
+
+
 def test_missing_file_reports_usage_error(capsys):
     code, _, err = run(capsys, "analyze", "definitely-not-here.txt")
     assert code == 1

@@ -251,3 +251,45 @@ def test_bounds_sound_on_random_even_graphs(n, cycles, seed):
         assert rep.tree_exact == rep.exact
     for witness in rep.witness_sets.values():
         assert oracle_acyclic(*raw(g.delete_vertices(witness.vertices)))
+
+
+def _reference_report(g, seed, oracle_limit):
+    """The bounds, witnesses and rank/cover gap of ``analyze``, rebuilt by
+    running every route separately through the public functions."""
+    d = decompose_greedy(g, seed)
+    ci = build_ci(g, d)
+    rank, cover = cycle_rank(ci), msf(ci)
+    bounds = {"edge_count": None, "tree_exact": None, "general": None, "exact": None}
+    witnesses = {}
+    if {v for l in ci.links for v in l.pair()} == set(range(ci.node_count)):
+        bounds["edge_count"] = bound_edge_count(ci)
+        witnesses["edge_count"] = sorted({l.label for l in ci.links})
+    if rank == 0:
+        bounds["tree_exact"] = cover.size
+        witnesses["tree"] = decycle_tree_ci(g, d, ci).sorted_vertices()
+    general = decycle_general(g, d, ci)
+    bounds["general"] = len(general)
+    witnesses["general"] = general.sorted_vertices()
+    if g.n_vertices <= oracle_limit:
+        bounds["exact"], exact = exact_decycling_number(g, oracle_limit)
+        witnesses["exact"] = exact.sorted_vertices()
+    return bounds, witnesses, rank - cover.size
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["random_even", "cycle_tree"]),
+    size=st.integers(3, 9),
+    seed=st.integers(0, 50_000),
+)
+def test_analyze_matches_separate_routes(family, size, seed):
+    if family == "random_even":
+        g = random_even(size, 3, seed=seed)
+    else:
+        g = cycle_tree(size, seed=seed)
+    limit = 12
+    obj = analyze(g, seed=seed, oracle_limit=limit).to_json_obj()
+    bounds, witnesses, gap = _reference_report(g, seed, limit)
+    assert obj["bounds"] == bounds
+    assert obj["witnesses"] == witnesses
+    assert obj["rank_cover_gap"] == gap

@@ -119,6 +119,18 @@ def test_components_preserve_ids():
     parts = g.components()
     assert [p.vertices for p in parts] == [(0, 1, 2), (3,), (4, 5, 6)]
     assert set(parts[2].edge_ids) == {3, 4, 5}
+    # ids interleaved across four components: the parts partition both
+    # the vertex set and the edge-id set
+    g = Multigraph([9, 1, 5, 7, 3, 8, 2], {
+        10: (9, 1), 4: (5, 3), 11: (1, 9), 2: (3, 5), 6: (8, 2), 0: (2, 8),
+    })
+    parts = g.components()
+    assert [p.vertices for p in parts] == [(1, 9), (2, 8), (3, 5), (7,)]
+    assert [set(p.edge_ids) for p in parts] == [{10, 11}, {0, 6}, {2, 4}, set()]
+    assert sorted(v for p in parts for v in p.vertices) == list(g.vertices)
+    assert sorted(e for p in parts for e in p.edge_ids) == sorted(g.edge_ids)
+    assert all(p.endpoints(e) == g.endpoints(e) for p in parts for e in p.edge_ids)
+    assert not is_connected(g) and is_connected(parts[0])
 
 
 def test_restricted_to_edges(doubled_triangle):
