@@ -95,6 +95,16 @@ def run_instance(
     )
 
 
+def _spec_int(spec: dict, key: str, default: Optional[int]) -> Optional[int]:
+    value = spec.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"bench spec '{key}' must be an integer") from None
+
+
 def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
     """Run every instance under every strategy; returns the summary.
 
@@ -104,22 +114,27 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
          "strategies": ["greedy", ...],      # optional, default all three
          "seed": 0, "budget": 200, "oracle_limit": 20}
     """
-    if not isinstance(spec, dict) or "instances" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("instances"), list):
         raise ParseError("bench spec must be a JSON object with an 'instances' list")
-    strategies = tuple(spec.get("strategies", STRATEGIES))
+    strategies = spec.get("strategies", list(STRATEGIES))
+    if not isinstance(strategies, list):
+        raise ParseError("bench spec 'strategies' must be a list")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
-    seed = int(spec.get("seed", 0))
-    budget = int(spec.get("budget", 200))
-    oracle_limit = spec.get("oracle_limit")
+    seed = _spec_int(spec, "seed", 0)
+    budget = _spec_int(spec, "budget", 200)
+    oracle_limit = _spec_int(spec, "oracle_limit", None)
     rows: list[BenchRow] = []
     for idx, inst in enumerate(spec["instances"]):
         if not isinstance(inst, dict) or "family" not in inst:
             raise ParseError(
                 f"bench instance {idx} must be a JSON object with a 'family'"
             )
-        fam = FamilySpec(inst["family"], dict(inst.get("params", {})))
+        params = inst.get("params", {})
+        if not isinstance(params, dict):
+            raise ParseError(f"bench instance {idx} 'params' must be a JSON object")
+        fam = FamilySpec(inst["family"], dict(params))
         graph_id = str(inst.get("id", f"{idx}:{fam.label()}"))
         g = fam.build()
         for strategy in strategies:

@@ -3,15 +3,15 @@
 A cycle decomposition partitions the edge set into simple cycles of
 length >= 2 (length 2 is a digon made of two parallel edges). Every even
 graph has at least one; this module produces them greedily, enumerates
-all of them exhaustively through transition systems, and generates the
-local moves used by the decomposition optimizer.
+all of them exhaustively by peeling cycles through the lowest uncovered
+edge, and generates the local moves used by the decomposition optimizer.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Optional
 
 from .errors import InvalidDecompositionError, NotEvenError, ParseError
@@ -69,14 +69,20 @@ class CycleDecomposition:
             )
         verts = obj["cycles"]
         eids = obj["edge_ids"]
-        if len(verts) != len(eids):
+        try:
+            same_length = len(verts) == len(eids)
+            cycles = tuple(
+                Cycle(tuple(int(v) for v in vs), tuple(int(e) for e in es))
+                for vs, es in zip(verts, eids)
+            )
+        except (TypeError, ValueError):
+            raise ParseError(
+                "decomposition 'cycles' and 'edge_ids' must be lists of integer lists"
+            ) from None
+        if not same_length:
             raise InvalidDecompositionError(
                 "cycles and edge_ids lists differ in length"
             )
-        cycles = tuple(
-            Cycle(tuple(int(v) for v in vs), tuple(int(e) for e in es))
-            for vs, es in zip(verts, eids)
-        )
         return cls(cycles)
 
 
@@ -185,100 +191,38 @@ def decompose_greedy(g: Multigraph, seed: int = 0) -> CycleDecomposition:
     return CycleDecomposition(_sorted_cycles(cycles))
 
 
-# -- exhaustive enumeration via transition systems -------------------------
+# -- exhaustive enumeration by cycle peeling ---------------------------------
 
 
-def _pairings(items: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All perfect pairings of an even-sized list, deterministically."""
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    for i in range(1, len(items)):
-        partner = items[i]
-        rest = items[1:i] + items[i + 1 :]
-        for sub in _pairings(rest):
-            yield ((first, partner),) + sub
+def _cycles_through(
+    adjacency: dict[int, list[tuple[int, int]]],
+    uncovered: set[int],
+    e: int,
+    start: int,
+    first: int,
+) -> Iterator[Cycle]:
+    """Every simple cycle of the ``uncovered`` edges through edge ``e``,
+    written from its endpoint ``start`` along ``e`` to ``first``."""
+    verts = [start]
+    eids = [e]
+    on_path = {start}
 
+    def extend(v: int) -> Iterator[Cycle]:
+        verts.append(v)
+        on_path.add(v)
+        for f, w in adjacency[v]:
+            if f not in uncovered or f == eids[-1]:
+                continue
+            if w == start:
+                yield Cycle(tuple(verts), tuple(eids) + (f,))
+            elif w not in on_path:
+                eids.append(f)
+                yield from extend(w)
+                eids.pop()
+        on_path.discard(v)
+        verts.pop()
 
-def _chains_conflict(g: Multigraph, transition: dict[int, dict[int, int]]) -> bool:
-    """Check the walk fragments induced by the pairings assigned so far.
-
-    Edges linked at assigned vertices form fragments: open chains ending
-    at unassigned vertices, or closed loops. A fragment that passes the
-    same assigned vertex twice can never become a simple cycle, whatever
-    the remaining vertices choose, so the whole branch can be pruned.
-    """
-    visited: set[int] = set()
-
-    def walk(start_edge: int, start_from: int) -> bool:
-        """Follow links from ``(edge, entering side)``; True iff some
-        transition vertex repeats."""
-        transits: set[int] = set()
-        cur, frm = start_edge, start_from
-        while True:
-            visited.add(cur)
-            to = g.other_endpoint(cur, frm)
-            pairing = transition.get(to)
-            if pairing is None:
-                return False  # open end reached
-            if to in transits:
-                return True
-            transits.add(to)
-            cur, frm = pairing[cur], to
-            if cur == start_edge and frm == start_from:
-                return False  # closed loop, all transits distinct
-
-    # open chains first, walked from a free end so they are covered whole
-    for eid in g.edge_ids:
-        if eid in visited:
-            continue
-        u, v = g.endpoints(eid)
-        for side in (u, v):
-            if side not in transition:
-                if walk(eid, side):
-                    return True
-                break
-    # whatever remains sits on closed loops
-    for eid in g.edge_ids:
-        if eid not in visited:
-            if walk(eid, g.endpoints(eid)[0]):
-                return True
-    return False
-
-
-def _loops_to_cycles(
-    g: Multigraph, transition: dict[int, dict[int, int]]
-) -> Optional[list[Cycle]]:
-    """Turn a fully assigned transition system into simple cycles.
-
-    Returns None when some closed walk revisits a vertex.
-    """
-    seen: set[int] = set()
-    cycles: list[Cycle] = []
-    for start_edge in g.edge_ids:
-        if start_edge in seen:
-            continue
-        u, v = g.endpoints(start_edge)
-        start_vertex = min(u, v)
-        verts = [start_vertex]
-        eids = [start_edge]
-        seen.add(start_edge)
-        cur_edge = start_edge
-        cur_vertex = g.other_endpoint(start_edge, start_vertex)
-        while cur_vertex != start_vertex:
-            if cur_vertex in verts:
-                return None
-            verts.append(cur_vertex)
-            nxt = transition[cur_vertex][cur_edge]
-            eids.append(nxt)
-            seen.add(nxt)
-            cur_vertex = g.other_endpoint(nxt, cur_vertex)
-            cur_edge = nxt
-        if transition[start_vertex][cur_edge] != start_edge:
-            return None
-        cycles.append(Cycle(tuple(verts), tuple(eids)))
-    return cycles
+    return extend(first)
 
 
 def enumerate_decompositions(
@@ -286,50 +230,40 @@ def enumerate_decompositions(
 ) -> Iterator[CycleDecomposition]:
     """Yield every cycle decomposition of ``g`` exactly once.
 
-    Backtracks over transition systems: each vertex of degree 2k picks a
-    perfect pairing of its incident edges, every full assignment induces
-    closed walks, and only assignments whose walks are all vertex-simple
-    survive. Intended for desk-scale graphs (|E| up to roughly 16).
+    Peels cycles: the lowest uncovered edge lies on exactly one cycle of
+    any decomposition, so branching over every simple cycle of the
+    uncovered edges through it, and recursing on the rest, reaches each
+    decomposition once. Removing a cycle leaves an even graph, so no
+    branch dead-ends and the cost grows with the number of
+    decompositions. Each cycle starts at the lower endpoint of its lowest
+    edge id, along that edge.
     """
     if not is_even(g):
         raise NotEvenError("graph is not even")
     if limit is not None and limit <= 0:
         return
-    verts = sorted(
-        (v for v in g.vertices if g.degree(v) > 0),
-        key=lambda v: (-g.degree(v), v),
-    )
-    emitted: set[frozenset[frozenset[int]]] = set()
-    transition: dict[int, dict[int, int]] = {}
+    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    for eid, u, v in g.edges():
+        adjacency[u].append((eid, v))
+        adjacency[v].append((eid, u))
+    uncovered = set(g.edge_ids)
+    chosen: list[Cycle] = []
 
-    def rec(idx: int) -> Iterator[CycleDecomposition]:
-        if idx == len(verts):
-            loops = _loops_to_cycles(g, transition)
-            if loops is not None:
-                d = CycleDecomposition(_sorted_cycles(loops))
-                key = d.canonical_key
-                if key not in emitted:
-                    emitted.add(key)
-                    yield d
+    def rec() -> Iterator[CycleDecomposition]:
+        if not uncovered:
+            yield CycleDecomposition(_sorted_cycles(chosen))
             return
-        v = verts[idx]
-        incident = sorted(g.incident_edges(v))
-        for pairing in _pairings(incident):
-            table: dict[int, int] = {}
-            for a, b in pairing:
-                table[a] = b
-                table[b] = a
-            transition[v] = table
-            if not _chains_conflict(g, transition):
-                yield from rec(idx + 1)
-            del transition[v]
+        # every edge below e is covered, so e is the lowest edge of each
+        # cycle through it; endpoints are stored lower first
+        e = min(uncovered)
+        for cyc in _cycles_through(adjacency, uncovered, e, *g.endpoints(e)):
+            uncovered.difference_update(cyc.edges)
+            chosen.append(cyc)
+            yield from rec()
+            chosen.pop()
+            uncovered.update(cyc.edges)
 
-    count = 0
-    for d in rec(0):
-        yield d
-        count += 1
-        if limit is not None and count >= limit:
-            return
+    yield from islice(rec(), limit)
 
 
 # -- local moves ------------------------------------------------------------

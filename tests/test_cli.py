@@ -229,6 +229,13 @@ def test_decomposition_missing_key_is_usage_error(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error:") and "JSON object" in err
+    for bad in ({"cycles": [1], "edge_ids": [1]}, {"cycles": 5, "edge_ids": 5}):
+        p.write_text(json.dumps(bad))
+        code, _, err = run(
+            capsys, "analyze", "--family", "cycle", "--k", "3", "--decomposition", str(p)
+        )
+        assert code == 1
+        assert err.startswith("error:") and "integer lists" in err
 
 
 def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
@@ -237,6 +244,17 @@ def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "bench", str(spec_path))
     assert code == 1
     assert err.startswith("error:") and "'family'" in err
+    instance = {"family": "cycle", "params": {"k": 3}}
+    for bad, key in (
+        ({"instances": 5}, "'instances'"),
+        ({"instances": [{"family": "cycle", "params": 5}]}, "'params'"),
+        ({"instances": [instance], "strategies": 5}, "'strategies'"),
+        ({"instances": [instance], "oracle_limit": "x"}, "'oracle_limit'"),
+    ):
+        spec_path.write_text(json.dumps(bad))
+        code, _, err = run(capsys, "bench", str(spec_path))
+        assert code == 1
+        assert err.startswith("error:") and key in err
 
 
 def test_missing_file_reports_usage_error(capsys):

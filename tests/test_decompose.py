@@ -171,9 +171,16 @@ def test_enumerate_count_matches_partition_oracle_random(n, cycles, seed):
     g = random_even(n, cycles, seed=seed)
     if g.n_edges > 10:
         return
-    got = len(list(enumerate_decompositions(g)))
+    decos = list(enumerate_decompositions(g))
     want = oracle_count_decompositions([(u, v) for _, u, v in g.edges()])
-    assert got == want
+    assert len(decos) == want
+    assert len(keys(decos)) == len(decos)
+    for d in decos:
+        assert validate_decomposition(g, d)
+        for c in d.cycles:
+            # written from the lower endpoint of the lowest edge, along it
+            assert c.edges[0] == min(c.edges)
+            assert c.vertices[0] == min(g.endpoints(c.edges[0]))
 
 
 def test_simple_ci_filter_matches_is_simple(doubled_triangle, theta_graph):
