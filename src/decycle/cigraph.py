@@ -119,24 +119,29 @@ def restrict_ci(ci: CIGraph, keep: list[int]) -> tuple[CIGraph, list[int]]:
 # -- exact maximum matching -------------------------------------------------
 
 
-def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
-    """Exact maximum matching on a simple graph via repeated augmenting
-    BFS with blossom contraction. Returns the mate array (-1 unmatched)."""
-    match = [-1] * n
+def _augment(
+    adj: list[list[int]], match: list[int], gone: list[bool], root: int
+) -> bool:
+    """One augmenting-path BFS with blossom contraction from the free
+    vertex ``root``, ignoring vertices marked ``gone``. Flips the path
+    into ``match`` (the mate array, -1 unmatched) and returns whether one
+    was found."""
+    n = len(adj)
     p = [-1] * n
     base = list(range(n))
+    used = [False] * n
 
     def lca(a: int, b: int) -> int:
-        used = [False] * n
+        seen = [False] * n
         while True:
             a = base[a]
-            used[a] = True
+            seen[a] = True
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if seen[b]:
                 return b
             b = p[match[b]]
 
@@ -148,48 +153,38 @@ def _blossom_matching(n: int, adj: list[list[int]]) -> list[int]:
             child = match[v]
             v = p[match[v]]
 
-    def find_augmenting(root: int) -> bool:
-        used = [False] * n
-        for i in range(n):
-            p[i] = -1
-            base[i] = i
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    curbase = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = p[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
-    for v in range(n):
-        if match[v] == -1:
-            find_augmenting(v)
-    return match
+    used[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if gone[to] or base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                curbase = lca(v, to)
+                blossom = [False] * n
+                mark_path(v, curbase, to, blossom)
+                mark_path(to, curbase, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    u = to
+                    while u != -1:
+                        pv = p[u]
+                        ppv = match[pv]
+                        match[u] = pv
+                        match[pv] = u
+                        u = ppv
+                    return True
+                used[match[to]] = True
+                queue.append(match[to])
+    return False
 
 
 def _simple_pairs(ci: CIGraph) -> dict[tuple[int, int], Link]:
@@ -201,18 +196,6 @@ def _simple_pairs(ci: CIGraph) -> dict[tuple[int, int], Link]:
     return rep
 
 
-def _matching_size(n: int, pairs, banned: set[int]) -> int:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in pairs:
-        if a not in banned and b not in banned:
-            adj[a].append(b)
-            adj[b].append(a)
-    for lst in adj:
-        lst.sort()
-    match = _blossom_matching(n, adj)
-    return sum(1 for v in range(n) if match[v] != -1) // 2
-
-
 def max_matching(ci: CIGraph) -> tuple[Link, ...]:
     """A maximum-cardinality matching of the collapsed simple graph.
 
@@ -220,21 +203,40 @@ def max_matching(ci: CIGraph) -> tuple[Link, ...]:
     chosen is lexicographically first in link order, so results are
     reproducible run to run.
     """
+    n = ci.node_count
     rep = _simple_pairs(ci)
-    pairs = sorted(rep)
-    target = _matching_size(ci.node_count, pairs, set())
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in rep:
+        adj[a].append(b)
+        adj[b].append(a)
+    match = [-1] * n
+    gone = [False] * n
+    for v in range(n):
+        if match[v] == -1:
+            _augment(adj, match, gone, v)
+    # ``match`` stays a maximum matching of the nodes not ``gone``, and a
+    # pair (a, b) is kept iff dropping a and b costs it exactly one edge.
+    # That holds at once if a-b is matched or one end is free (both
+    # cannot be: a-b would augment). Otherwise a and b are matched to c
+    # and d, dropping both edges costs two, and the pair is kept iff one
+    # augmenting path appears. It must end at c or d: a path between two
+    # vertices free before the drop would have augmented ``match``.
     chosen: list[Link] = []
-    used: set[int] = set()
-    for pair in pairs:
-        a, b = pair
-        if a in used or b in used:
+    for a, b in sorted(rep):
+        if gone[a] or gone[b]:
             continue
-        trial = used | {a, b}
-        if len(chosen) + 1 + _matching_size(ci.node_count, pairs, trial) == target:
-            chosen.append(rep[pair])
-            used = trial
-        if len(chosen) == target:
-            break
+        c, d = match[a], match[b]
+        for v in (a, b, c, d):
+            if v != -1:
+                match[v] = -1
+        gone[a] = gone[b] = True
+        if c not in (b, -1) and d != -1 and not (
+            _augment(adj, match, gone, c) or _augment(adj, match, gone, d)
+        ):
+            match[a], match[c], match[b], match[d] = c, a, d, b
+            gone[a] = gone[b] = False
+            continue
+        chosen.append(rep[(a, b)])
     return tuple(chosen)
 
 

@@ -25,7 +25,7 @@ from .errors import DecycleError, DomainError, InvalidDecompositionError, ParseE
 from .families import FAMILY_NAMES, build_family
 from .multigraph import Multigraph, is_connected, is_even, parse_edge_list, to_edge_list
 from .multigraph import to_dot as graph_to_dot
-from .cigraph import build_ci
+from .cigraph import CIGraph, build_ci
 from .cigraph import to_dot as ci_to_dot
 from .optimize import optimize_decomposition
 
@@ -127,12 +127,12 @@ def _print_report(report: BoundReport, heading: str = "") -> None:
         print(f"diagnostic rank/cover gap: {report.rank_cover_gap}")
 
 
-def _write_dot(directory: str, g: Multigraph, report: BoundReport) -> None:
+def _write_dot(directory: str, g: Multigraph, ci: Optional[CIGraph]) -> None:
+    """Write ``graph.dot``, and ``ci.dot`` when there is a CI to draw."""
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "graph.dot"), "w") as fh:
         fh.write(graph_to_dot(g))
-    if report.decomposition is not None:
-        ci = build_ci(g, report.decomposition)
+    if ci is not None:
         with open(os.path.join(directory, "ci.dot"), "w") as fh:
             fh.write(ci_to_dot(ci))
 
@@ -169,7 +169,8 @@ def _cmd_analyze(args) -> int:
         else:
             _print_report(total)
     if args.dot:
-        _write_dot(args.dot, g, reports[0] if len(reports) == 1 else total)
+        shown = total.decomposition
+        _write_dot(args.dot, g, None if shown is None else build_ci(g, shown))
     return 0
 
 
@@ -179,11 +180,7 @@ def _cmd_optimize(args) -> int:
         g, method=args.method, budget=args.budget, seed=args.seed
     )
     if args.dot:
-        os.makedirs(args.dot, exist_ok=True)
-        with open(os.path.join(args.dot, "graph.dot"), "w") as fh:
-            fh.write(graph_to_dot(g))
-        with open(os.path.join(args.dot, "ci.dot"), "w") as fh:
-            fh.write(ci_to_dot(result.best_ci))
+        _write_dot(args.dot, g, result.best_ci)
     if args.json:
         _dump_json(result.to_json_obj())
     else:

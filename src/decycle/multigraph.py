@@ -92,22 +92,11 @@ class Multigraph:
     def n_edges(self) -> int:
         return len(self._edges)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._incidence
-
     def endpoints(self, eid: int) -> tuple[int, int]:
         try:
             return self._edges[eid]
         except KeyError:
             raise ValueError(f"unknown edge id {eid}") from None
-
-    def other_endpoint(self, eid: int, v: int) -> int:
-        u, w = self.endpoints(eid)
-        if v == u:
-            return w
-        if v == w:
-            return u
-        raise ValueError(f"vertex {v} is not an endpoint of edge {eid}")
 
     def degree(self, v: int) -> int:
         try:
@@ -115,24 +104,10 @@ class Multigraph:
         except KeyError:
             raise ValueError(f"unknown vertex id {v}") from None
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        try:
-            return self._incidence[v]
-        except KeyError:
-            raise ValueError(f"unknown vertex id {v}") from None
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield ``(edge id, u, v)`` in edge-id order."""
         for eid, (u, v) in self._edges.items():
             yield eid, u, v
-
-    def adjacency(self) -> dict[int, set[int]]:
-        """Underlying simple-graph adjacency (parallel edges collapsed)."""
-        adj: dict[int, set[int]] = {v: set() for v in self._vertices}
-        for _, u, v in self.edges():
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
     # -- derived graphs -------------------------------------------------
 

@@ -73,6 +73,18 @@ def oracle_max_matching(pairs) -> int:
     return best
 
 
+def oracle_lex_first_matching(pairs) -> list:
+    """Smallest sorted pair list among all maximum matchings, found by
+    listing every matching."""
+    matchings = [[]]
+    for a, b in sorted(set(pairs)):
+        matchings += [
+            m + [(a, b)] for m in matchings if not any({a, b} & set(p) for p in m)
+        ]
+    size = max(map(len, matchings))
+    return min(m for m in matchings if len(m) == size)
+
+
 def _is_forest(pairs) -> bool:
     parent = {}
 
@@ -154,3 +166,30 @@ def oracle_count_decompositions(edges) -> int:
         return total
 
     return rec(frozenset(range(len(edges))))
+
+
+def _cycle_partitions(edges, remaining: frozenset):
+    """Every partition of the edge indices ``remaining`` into simple
+    cycles, each given as a set of edge-index sets."""
+    if not remaining:
+        yield frozenset()
+        return
+    lowest = min(remaining)
+    rest = sorted(remaining - {lowest})
+    for k in range(1, len(rest) + 1):
+        for sub in combinations(rest, k):
+            group = frozenset((lowest,) + sub)
+            if _is_single_simple_cycle([edges[i] for i in group]):
+                for tail in _cycle_partitions(edges, remaining - group):
+                    yield tail | {group}
+
+
+def oracle_neighbor_keys(edges, key) -> set:
+    """Decompositions (as sets of edge-index sets) that differ from
+    ``key`` by a swap of two cycles for others, or of others for two:
+    ``min(|d - d'|, |d' - d|) == 2``."""
+    return {
+        other
+        for other in _cycle_partitions(edges, frozenset(range(len(edges))))
+        if min(len(key - other), len(other - key)) == 2
+    }

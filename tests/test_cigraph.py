@@ -17,7 +17,11 @@ from decycle.cigraph import (
 from decycle.decompose import decompose_greedy, enumerate_decompositions
 from decycle.families import build_family, cycle_tree, random_even
 from decycle.multigraph import Multigraph
-from oracles import oracle_max_matching, oracle_min_forest_cover
+from oracles import (
+    oracle_lex_first_matching,
+    oracle_max_matching,
+    oracle_min_forest_cover,
+)
 
 
 def path_ci(n_links):
@@ -152,6 +156,12 @@ def test_matching_is_valid_and_lexicographic():
     for link in max_matching(path_ci(7)):
         assert not ({link.a, link.b} & used)
         used |= {link.a, link.b}
+    # the path 2-0-1-3-4-5-6: keeping 0-1 frees 2 and 3, and only the
+    # search from 3 finds the augmenting path 3-4-5-6
+    pairs = [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (5, 6)]
+    ci = CIGraph(7, tuple(Link(a, b, i) for i, (a, b) in enumerate(pairs)), 1)
+    m = [l.pair() for l in max_matching(ci)]
+    assert m == oracle_lex_first_matching(pairs) == [(0, 1), (3, 4), (5, 6)]
 
 
 def test_matching_collapses_parallel_links():
@@ -165,7 +175,9 @@ def test_matching_needs_blossoms():
     pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
     links = tuple(Link(a, b, i) for i, (a, b) in enumerate(pairs))
     ci = CIGraph(6, links, 1)
-    assert len(max_matching(ci)) == oracle_max_matching(pairs) == 3
+    m = [l.pair() for l in max_matching(ci)]
+    assert len(m) == oracle_max_matching(pairs) == 3
+    assert m == oracle_lex_first_matching(pairs)
 
 
 @settings(max_examples=120, deadline=None)
@@ -177,7 +189,9 @@ def test_matching_matches_exhaustive_oracle(n, seed):
     ]
     links = tuple(Link(a, b, 1000 + i) for i, (a, b) in enumerate(pairs))
     ci = CIGraph(n, links, 0)  # component count is irrelevant to matching
-    assert len(max_matching(ci)) == oracle_max_matching(pairs)
+    m = [l.pair() for l in max_matching(ci)]
+    assert len(m) == oracle_max_matching(pairs)
+    assert m == oracle_lex_first_matching(pairs)
 
 
 # -- forest cover -------------------------------------------------------------

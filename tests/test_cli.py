@@ -1,10 +1,13 @@
 import csv
 import json
 
+from decycle.cigraph import build_ci
+from decycle.cigraph import to_dot as ci_to_dot
 from decycle.cli import main
-from decycle.decompose import enumerate_decompositions
+from decycle.decompose import CycleDecomposition, enumerate_decompositions
 from decycle.families import build_family
 from decycle.multigraph import parse_edge_list
+from decycle.multigraph import to_dot as graph_to_dot
 
 
 def run(capsys, *argv):
@@ -113,6 +116,19 @@ def test_analyze_dot_export(tmp_path, capsys):
     ci_dot = (out_dir / "ci.dot").read_text()
     assert graph_dot.startswith("graph G {")
     assert "label=" in ci_dot
+
+
+def test_optimize_dot_export(tmp_path, capsys):
+    out_dir = tmp_path / "dots"
+    code, out, _ = run(
+        capsys, "optimize", "--family", "doubled_cycle", "--k", "3",
+        "--method", "exhaustive", "--json", "--dot", str(out_dir),
+    )
+    assert code == 0
+    best = CycleDecomposition.from_json_obj(json.loads(out)["decomposition"])
+    g = build_family("doubled_cycle", k=3)
+    assert (out_dir / "graph.dot").read_text() == graph_to_dot(g)
+    assert (out_dir / "ci.dot").read_text() == ci_to_dot(build_ci(g, best))
 
 
 def test_optimize(capsys):

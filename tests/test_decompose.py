@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from decycle.decompose import (
 from decycle.errors import InvalidDecompositionError, NotEvenError
 from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
-from oracles import oracle_count_decompositions
+from oracles import oracle_count_decompositions, oracle_neighbor_keys
 
 
 def keys(decos):
@@ -246,3 +248,25 @@ def test_neighbors_symmetric(n, cycles, seed):
     d = decompose_greedy(g, seed=0)
     for nd in neighbors(g, d):
         assert d.canonical_key in keys(neighbors(g, nd))
+
+
+def assert_neighbors_match_partition_oracle(g, limit=None):
+    edges = [(u, v) for _, u, v in g.edges()]
+    for d in islice(enumerate_decompositions(g), limit):
+        want = oracle_neighbor_keys(edges, d.canonical_key)
+        assert keys(neighbors(g, d)) == want
+
+
+def test_neighbors_match_partition_oracle_families(theta_graph):
+    # doubled cycles need merges of four or more digons into two cycles
+    assert_neighbors_match_partition_oracle(theta_graph)
+    for k in (4, 5):
+        assert_neighbors_match_partition_oracle(build_family("doubled_cycle", k=k))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(3, 6), cycles=st.integers(2, 4), seed=st.integers(0, 50_000))
+def test_neighbors_match_partition_oracle_random(n, cycles, seed):
+    g = random_even(n, cycles, seed=seed)
+    if g.n_edges <= 10:
+        assert_neighbors_match_partition_oracle(g, limit=20)
