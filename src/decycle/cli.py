@@ -306,7 +306,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return DOMAIN_EXIT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
     except DecycleError as exc:

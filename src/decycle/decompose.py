@@ -272,47 +272,35 @@ def enumerate_decompositions(
 def neighbors(g: Multigraph, d: CycleDecomposition) -> list[CycleDecomposition]:
     """Decompositions one merge/re-split move away from ``d``.
 
-    Forward move: merge two cycles that share a vertex and re-decompose
-    their edge union in every other way. Reverse move: merge three or
-    more cycles whose union re-decomposes into exactly two cycles. The
-    two directions together make the relation symmetric.
+    A move replaces some cycles of ``d`` by another decomposition of
+    their edge union. ``d'`` is a neighbour iff
+    ``min(|d - d'|, |d' - d|) == 2``: two cycles re-split in any other
+    way, or three or more cycles re-split into exactly two. The rule is
+    symmetric.
     """
     _require_valid(g, d)
     found: dict[frozenset[frozenset[int]], CycleDecomposition] = {}
     base_key = d.canonical_key
     cycles = d.cycles
-
-    def add(replaced: tuple[int, ...], replacement: tuple[Cycle, ...]) -> None:
-        rest = [c for i, c in enumerate(cycles) if i not in replaced]
-        nd = CycleDecomposition(_sorted_cycles(tuple(rest) + replacement))
-        key = nd.canonical_key
-        if key != base_key and key not in found:
-            found[key] = nd
-
-    # pair merges, re-split into anything different
-    for i, j in combinations(range(len(cycles)), 2):
-        ci, cj = cycles[i], cycles[j]
-        if not (ci.vertex_set & cj.vertex_set):
-            continue
-        union = g.restricted_to_edges(ci.edges + cj.edges)
-        original = frozenset((ci.edge_key, cj.edge_key))
-        for nd in enumerate_decompositions(union):
-            if nd.canonical_key != original:
-                add((i, j), nd.cycles)
-
-    # merges of three or more cycles that re-split into exactly two
-    for size in range(3, len(cycles) + 1):
+    for size in range(2, len(cycles) + 1):
         for subset in combinations(range(len(cycles)), size):
-            eids: list[int] = []
-            for i in subset:
-                eids.extend(cycles[i].edges)
-            union = g.restricted_to_edges(eids)
+            union = g.restricted_to_edges(
+                [eid for i in subset for eid in cycles[i].edges]
+            )
+            # Every move starts or ends with two cycles. Two simple cycles
+            # give each vertex degree at most 4, and two vertex-disjoint
+            # ones decompose only as themselves. So a union with a vertex
+            # of degree > 4, or in two parts, has no move.
             if any(union.degree(v) > 4 for v in union.vertices):
                 continue
             if not is_connected(union):
                 continue
-            for nd in enumerate_decompositions(union):
-                if len(nd.cycles) == 2:
-                    add(subset, nd.cycles)
-
+            rest = tuple(c for i, c in enumerate(cycles) if i not in subset)
+            for split in enumerate_decompositions(union):
+                if min(size, len(split.cycles)) != 2:
+                    continue
+                nd = CycleDecomposition(_sorted_cycles(rest + split.cycles))
+                key = nd.canonical_key
+                if key != base_key:
+                    found.setdefault(key, nd)
     return sorted(found.values(), key=lambda nd: nd.sort_key)

@@ -39,8 +39,13 @@ DEFAULT_ORACLE_LIMIT = 20
 
 
 def verify_decycling(g: Multigraph, s: Iterable[int]) -> bool:
-    """True iff deleting ``s`` leaves an acyclic graph."""
-    return is_acyclic(g.delete_vertices(s))
+    """True iff deleting ``s`` leaves an acyclic graph; ``ValueError``
+    for a vertex id not in ``g``."""
+    gone = {int(v) for v in s}
+    unknown = gone.difference(g.vertices)
+    if unknown:
+        raise ValueError(f"unknown vertex id {min(unknown)}")
+    return is_acyclic(g, gone)
 
 
 def certify(g: Multigraph, vertices: Iterable[int]) -> DecyclingSet:
@@ -166,12 +171,9 @@ def exact_decycling_number(
             f"graph has {g.n_vertices} vertices, over the exhaustive-search "
             f"limit of {cap}"
         )
-    if is_acyclic(g):
-        return 0, DecyclingSet(frozenset(), certified=True)
-    verts = list(g.vertices)
-    for k in range(1, g.n_vertices + 1):
-        for combo in combinations(verts, k):
-            if is_acyclic(g.delete_vertices(combo)):
+    for k in range(g.n_vertices + 1):
+        for combo in combinations(g.vertices, k):
+            if is_acyclic(g, combo):
                 return k, DecyclingSet(frozenset(combo), certified=True)
     raise InvariantError("subset search exhausted without an acyclic remainder")
 

@@ -13,7 +13,7 @@ threads; every operation returns a new graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ParseError
 
@@ -199,10 +199,17 @@ def find_root(parent, x: int) -> int:
     return x
 
 
-def is_acyclic(g: Multigraph) -> bool:
-    """True iff the graph has no cycle; a parallel pair counts as a 2-cycle."""
+def is_acyclic(g: Multigraph, deleted: Collection[int] = ()) -> bool:
+    """True iff ``g`` minus the vertices in ``deleted`` has no cycle; a
+    parallel pair counts as a 2-cycle.
+
+    Edges with an end in ``deleted`` are skipped, so no subgraph is
+    built. Ids in ``deleted`` are not checked against ``g``.
+    """
     parent = {v: v for v in g.vertices}
-    for _, u, v in g.edges():
+    for u, v in g._edges.values():
+        if u in deleted or v in deleted:
+            continue
         ru, rv = find_root(parent, u), find_root(parent, v)
         if ru == rv:
             return False

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from decycle.cigraph import build_ci
 from decycle.cigraph import to_dot as ci_to_dot
 from decycle.cli import main
@@ -273,6 +275,28 @@ def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
         assert err.startswith("error:") and key in err
 
 
-def test_missing_file_reports_usage_error(capsys):
-    code, _, err = run(capsys, "analyze", "definitely-not-here.txt")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "definitely-not-here.txt"],
+        ["analyze", "{dir}"],
+        ["analyze", "--family", "cycle", "--k", "4", "--decomposition", "{dir}"],
+        ["analyze", "--family", "cycle", "--k", "4", "--dot", "{file}/sub"],
+        ["gen", "--family", "cycle", "--k", "4", "-o", "{dir}/missing/x"],
+    ],
+    ids=[
+        "missing_input",
+        "input_is_dir",
+        "decomposition_is_dir",
+        "dot_under_file",
+        "gen_output_in_missing_dir",
+    ],
+)
+def test_missing_file_reports_usage_error(capsys, tmp_path, argv):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    code, _, err = run(
+        capsys, *(arg.format(dir=tmp_path, file=a_file) for arg in argv)
+    )
     assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err

@@ -120,7 +120,10 @@ def test_exact_limit_refusal():
 def test_exact_matches_independent_oracle(n, cycles, seed):
     g = random_even(n, cycles, seed=seed)
     value, witness = exact_decycling_number(g)
-    assert value == oracle_decycling(*raw(g))[0]
+    oracle_value, oracle_witness = oracle_decycling(*raw(g))
+    assert value == oracle_value
+    # both scan the sorted vertices by size, then lexicographically
+    assert witness.vertices == frozenset(oracle_witness)
     assert oracle_acyclic(*raw(g.delete_vertices(witness.vertices)))
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import raw
 from decycle.errors import ParseError
 from decycle.families import random_even
 from decycle.multigraph import (
@@ -14,6 +15,7 @@ from decycle.multigraph import (
     to_edge_list,
     to_json_obj,
 )
+from oracles import oracle_acyclic
 
 TRIANGLE_TEXT = "3 3\n0 1\n1 2\n0 2\n"
 DOUBLED_TRIANGLE_TEXT = "3 6\n0 1\n0 1\n1 2\n1 2\n0 2\n0 2\n"
@@ -92,6 +94,8 @@ def test_is_acyclic(doubled_triangle):
     digon = Multigraph.from_edges(2, [(0, 1), (0, 1)])
     assert not is_acyclic(digon)
     assert is_acyclic(doubled_triangle.delete_vertices({0, 1}))
+    assert is_acyclic(doubled_triangle, {0, 1})
+    assert not is_acyclic(doubled_triangle, {2})
 
 
 def test_delete_vertices_identity_and_examples(triangle, doubled_triangle):
@@ -162,6 +166,19 @@ def test_degree_sum_is_twice_edges(n, cycles, seed, drop):
     assert sum(g.degree(v) for v in g.vertices) == 2 * g.n_edges
     h = g.delete_vertices({v for v in drop if v < n})
     assert sum(h.degree(v) for v in h.vertices) == 2 * h.n_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 9),
+    cycles=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    drop=st.sets(st.integers(0, 8), max_size=4),
+)
+def test_is_acyclic_with_deleted_matches_leaf_peeling(n, cycles, seed, drop):
+    g = random_even(n, cycles, seed=seed)
+    drop = {v for v in drop if v < n}
+    assert is_acyclic(g, drop) == oracle_acyclic(*raw(g.delete_vertices(drop)))
 
 
 @settings(max_examples=40, deadline=None)
