@@ -33,9 +33,11 @@ class Link:
 
 @dataclass(frozen=True)
 class CIGraph:
+    """A node per cycle and the links between them, sorted by (a, b,
+    label); every other quantity is derived from the links."""
+
     node_count: int
     links: tuple[Link, ...]
-    component_count: int
 
     def to_json_obj(self) -> dict:
         return {
@@ -59,17 +61,6 @@ class ForestCover:
         return len(self.chosen_links) + len(self.isolated_nodes)
 
 
-def _component_count(node_count: int, pairs) -> int:
-    parent = list(range(node_count))
-    comps = node_count
-    for a, b in pairs:
-        ra, rb = find_root(parent, a), find_root(parent, b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps
-
-
 def build_ci(g: Multigraph, d: CycleDecomposition) -> CIGraph:
     """Cycle intersection graph of ``d``: a node per cycle, a link per
     shared vertex per cycle pair. Raises ``InvalidDecompositionError``
@@ -79,25 +70,41 @@ def build_ci(g: Multigraph, d: CycleDecomposition) -> CIGraph:
 
 
 def _build_ci(d: CycleDecomposition) -> CIGraph:
-    """``build_ci`` for a decomposition already known to be valid."""
-    links: list[Link] = []  # built in (a, b, label) order
-    for i, j in combinations(range(len(d.cycles)), 2):
-        shared = d.cycles[i].vertex_set & d.cycles[j].vertex_set
-        for v in sorted(shared):
-            links.append(Link(i, j, v))
-    comp = _component_count(len(d.cycles), [l.pair() for l in links])
-    return CIGraph(len(d.cycles), tuple(links), comp)
+    """``build_ci`` for a decomposition already known to be valid: each
+    vertex links every pair of the cycles through it."""
+    through: dict[int, list[int]] = {}
+    for i, cyc in enumerate(d.cycles):
+        for v in cyc.vertices:
+            through.setdefault(v, []).append(i)
+    triples = sorted(  # (a, b, label) order, as _simple_pairs expects
+        (i, j, v) for v, on in through.items() for i, j in combinations(on, 2)
+    )
+    return CIGraph(len(d.cycles), tuple(Link(*t) for t in triples))
+
+
+def _closing_links(node_count: int, links) -> list[Link]:
+    """The links that close a cycle with the links before them in the
+    given order; the others form a spanning forest."""
+    parent = list(range(node_count))
+    closing = []
+    for link in links:
+        ra, rb = find_root(parent, link.a), find_root(parent, link.b)
+        if ra == rb:
+            closing.append(link)
+        else:
+            parent[ra] = rb
+    return closing
 
 
 def is_simple(ci: CIGraph) -> bool:
     """True iff no two links join the same node pair."""
-    pairs = [l.pair() for l in ci.links]
-    return len(pairs) == len(set(pairs))
+    return len(_simple_pairs(ci)) == len(ci.links)
 
 
 def cycle_rank(ci: CIGraph) -> int:
-    """First Betti number: links - nodes + components."""
-    return len(ci.links) - ci.node_count + ci.component_count
+    """First Betti number: links - nodes + components, counted as the
+    links that close a cycle."""
+    return len(_closing_links(ci.node_count, ci.links))
 
 
 def restrict_ci(ci: CIGraph, keep: list[int]) -> tuple[CIGraph, list[int]]:
@@ -112,8 +119,7 @@ def restrict_ci(ci: CIGraph, keep: list[int]) -> tuple[CIGraph, list[int]]:
         for l in ci.links
         if l.a in index and l.b in index
     )
-    comp = _component_count(len(keep), [l.pair() for l in links])
-    return CIGraph(len(keep), links, comp), keep
+    return CIGraph(len(keep), links), keep
 
 
 # -- exact maximum matching -------------------------------------------------

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .cigraph import CIGraph, ForestCover, Link, _build_ci, cycle_rank, is_simple
-from .cigraph import msf, restrict_ci
+from .cigraph import CIGraph, ForestCover, Link, _build_ci, _closing_links
+from .cigraph import cycle_rank, is_simple, msf, restrict_ci
 from .decompose import CycleDecomposition, _require_valid, decompose_greedy
 from .errors import (
     DisconnectedError,
@@ -32,7 +32,7 @@ from .errors import (
     NotEvenError,
     OracleLimitError,
 )
-from .multigraph import DecyclingSet, Multigraph, find_root, is_acyclic
+from .multigraph import DecyclingSet, Multigraph, is_acyclic
 from .multigraph import is_connected, is_even
 
 DEFAULT_ORACLE_LIMIT = 20
@@ -91,14 +91,8 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
         removed.update(l.label for l in links if l is not keep)
     # feedback links of the remaining simple graph: grow a spanning
     # forest, preferring to keep links whose labels are not yet paid for
-    parent = list(range(ci.node_count))
     survivors.sort(key=lambda l: (l.label in removed, l.label, l.a, l.b))
-    for link in survivors:
-        ra, rb = find_root(parent, link.a), find_root(parent, link.b)
-        if ra == rb:
-            removed.add(link.label)
-        else:
-            parent[ra] = rb
+    removed.update(l.label for l in _closing_links(ci.node_count, survivors))
     return removed
 
 
@@ -117,7 +111,7 @@ def _construct_decycling(
     alive = [
         i
         for i, cyc in enumerate(d.cycles)
-        if not (cyc.vertex_set & stripped_labels)
+        if stripped_labels.isdisjoint(cyc.vertices)
     ]
     sub_ci, alive = restrict_ci(ci, alive)
     if cycle_rank(sub_ci) != 0:
@@ -238,7 +232,6 @@ def analyze(
     *,
     seed: int = 0,
     oracle_limit: Optional[int] = None,
-    compute_exact: bool = True,
 ) -> BoundReport:
     """Full bound report for a connected even graph.
 
@@ -255,14 +248,11 @@ def analyze(
         d = decompose_greedy(g, seed)
     else:
         _require_valid(g, d)
-    return _report(g, d, oracle_limit, compute_exact)
+    return _report(g, d, oracle_limit)
 
 
 def _report(
-    g: Multigraph,
-    d: CycleDecomposition,
-    oracle_limit: Optional[int],
-    compute_exact: bool,
+    g: Multigraph, d: CycleDecomposition, oracle_limit: Optional[int]
 ) -> BoundReport:
     """``analyze`` of a connected even graph and a valid decomposition."""
     ci = _build_ci(d)
@@ -288,7 +278,7 @@ def _report(
 
     exact = None
     cap = DEFAULT_ORACLE_LIMIT if oracle_limit is None else oracle_limit
-    if compute_exact and g.n_vertices <= cap:
+    if g.n_vertices <= cap:
         exact, exact_set = exact_decycling_number(g, cap)
         witnesses["exact"] = exact_set
 
@@ -315,7 +305,6 @@ def analyze_components(
     *,
     seed: int = 0,
     oracle_limit: Optional[int] = None,
-    compute_exact: bool = True,
 ) -> list[BoundReport]:
     """Analyze each connected component; bounds add across components."""
     if not is_even(g):
@@ -331,7 +320,7 @@ def analyze_components(
             part_d = CycleDecomposition(
                 tuple(c for c in d.cycles if set(c.edges) <= eids)
             )
-        out.append(_report(part, part_d, oracle_limit, compute_exact))
+        out.append(_report(part, part_d, oracle_limit))
     return out
 
 

@@ -17,6 +17,8 @@ from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import ParseError
 
+MAX_HEADER_VERTICES = 1_000_000
+
 
 @dataclass(frozen=True)
 class DecyclingSet:
@@ -223,10 +225,10 @@ def is_acyclic(g: Multigraph, deleted: Collection[int] = ()) -> bool:
 def parse_edge_list(source) -> Multigraph:
     """Parse the plain edge-list format.
 
-    First non-comment line is ``n m``; each following line is an edge
-    ``u v`` with ``0 <= u, v < n`` and ``u != v``. Lines starting with
-    ``#`` are comments. ``source`` may be text, bytes, or a file-like
-    object.
+    First non-comment line is ``n m`` with ``n`` at most
+    ``MAX_HEADER_VERTICES``; each following line is an edge ``u v`` with
+    ``0 <= u, v < n`` and ``u != v``. Lines starting with ``#`` are
+    comments. ``source`` may be text, bytes, or a file-like object.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -248,6 +250,12 @@ def parse_edge_list(source) -> Multigraph:
                 raise ParseError("expected header 'n m'", line=lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("negative count in header", line=lineno)
+            if n > MAX_HEADER_VERTICES:
+                raise ParseError(
+                    f"header declares {n} vertices, over the limit of "
+                    f"{MAX_HEADER_VERTICES}",
+                    line=lineno,
+                )
             continue
         if len(fields) != 2:
             raise ParseError("expected edge 'u v'", line=lineno)
@@ -271,20 +279,13 @@ def to_edge_list(g: Multigraph) -> str:
     """Serialize back to the edge-list format.
 
     Graphs whose vertex ids are not dense ``0..n-1`` (after deletions)
-    are written with remapped dense ids; JSON export keeps true ids.
+    are written with remapped dense ids, so those ids are not kept.
     """
     remap = {v: i for i, v in enumerate(g.vertices)}
     lines = [f"{g.n_vertices} {g.n_edges}"]
     for _, u, v in g.edges():
         lines.append(f"{remap[u]} {remap[v]}")
     return "\n".join(lines) + "\n"
-
-
-def to_json_obj(g: Multigraph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [[u, v] for _, u, v in g.edges()],
-    }
 
 
 def to_dot(g: Multigraph, name: str = "G") -> str:

@@ -35,3 +35,13 @@ def c5():
 def raw(g: Multigraph):
     """Plain data view consumed by the brute-force oracles."""
     return list(g.vertices), [(u, v) for _, u, v in g.edges()]
+
+
+def refuse_graph_build(monkeypatch):
+    """Make ``Multigraph.from_edges`` fail, so a parse that must stop at
+    its header cannot go on to allocate the vertex count it declares."""
+
+    def refuse(*args):
+        raise AssertionError("graph built from a header that should be refused")
+
+    monkeypatch.setattr(Multigraph, "from_edges", staticmethod(refuse))

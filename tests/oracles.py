@@ -53,6 +53,16 @@ def oracle_decycling(vertices, edges):
     raise AssertionError("unreachable: empty graph is acyclic")
 
 
+def oracle_ci_links(cycles) -> tuple:
+    """CI links as (a, b, label) triples, by intersecting the vertex sets
+    of every cycle pair in turn; ``cycles`` holds each cycle's vertices."""
+    return tuple(
+        (i, j, v)
+        for i, j in combinations(range(len(cycles)), 2)
+        for v in sorted(set(cycles[i]) & set(cycles[j]))
+    )
+
+
 def oracle_max_matching(pairs) -> int:
     """Maximum matching size by branch and bound over the pair list."""
     pairs = sorted(set(pairs))

@@ -204,9 +204,9 @@ def test_criterion_8_values_are_derived_not_quoted():
     # straight from the matching-based cover
     ok = True
     for n in range(1, 9):
-        path = CIGraph(n + 1, tuple(Link(i, i + 1, i) for i in range(n)), 1)
+        path = CIGraph(n + 1, tuple(Link(i, i + 1, i) for i in range(n)))
         ok = ok and msf(path).size == math.ceil((n + 1) / 2)
-        star = CIGraph(n + 1, tuple(Link(0, i + 1, i) for i in range(n)), 1)
+        star = CIGraph(n + 1, tuple(Link(0, i + 1, i) for i in range(n)))
         ok = ok and msf(star).size == n
     _report(
         "criterion 8: no quoted experimental numbers; closed forms and "

@@ -1,5 +1,6 @@
+import math
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from decycle.decompose import decompose_greedy, enumerate_decompositions
 from decycle.families import build_family, cycle_tree, random_even
 from decycle.multigraph import Multigraph
 from oracles import (
+    oracle_ci_links,
     oracle_lex_first_matching,
     oracle_max_matching,
     oracle_min_forest_cover,
@@ -26,12 +28,12 @@ from oracles import (
 
 def path_ci(n_links):
     links = tuple(Link(i, i + 1, 100 + i) for i in range(n_links))
-    return CIGraph(n_links + 1, links, 1)
+    return CIGraph(n_links + 1, links)
 
 
 def star_ci(n_links):
     links = tuple(Link(0, i + 1, 200 + i) for i in range(n_links))
-    return CIGraph(n_links + 1, links, 1)
+    return CIGraph(n_links + 1, links)
 
 
 # -- construction -------------------------------------------------------------
@@ -40,7 +42,7 @@ def star_ci(n_links):
 def test_build_ci_single_cycle(c5):
     ci = build_ci(c5, decompose_greedy(c5))
     assert ci.node_count == 1 and ci.links == ()
-    assert ci.component_count == 1
+    assert cycle_rank(ci) == 0
     assert is_simple(ci)
 
 
@@ -76,26 +78,52 @@ def test_shared_vertex_induces_clique():
     assert {l.pair() for l in ci.links} == {(0, 1), (0, 2), (1, 2)}
 
 
-def test_ci_label_soundness_and_completeness(theta_graph):
-    for d in enumerate_decompositions(theta_graph):
-        ci = build_ci(theta_graph, d)
-        for link in ci.links:
-            assert link.label in d.cycles[link.a].vertex_set
-            assert link.label in d.cycles[link.b].vertex_set
-            assert link.a != link.b
-        for i, j in combinations(range(len(d.cycles)), 2):
-            shared = d.cycles[i].vertex_set & d.cycles[j].vertex_set
-            labels = {l.label for l in ci.links if l.pair() == (i, j)}
-            assert labels == shared
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["random_even", "cycle_tree", "theta"]),
+    n=st.integers(3, 8),
+    seed=st.integers(0, 10_000),
+)
+def test_ci_label_soundness_and_completeness(family, n, seed):
+    # the per-vertex build gives the all-pairs intersection exactly, in
+    # the same (a, b, label) order
+    if family == "random_even":
+        g = random_even(n, 3, seed=seed)
+        decos = islice(enumerate_decompositions(g), 20)
+    elif family == "cycle_tree":
+        g = cycle_tree(n, seed=seed)
+        decos = [decompose_greedy(g)]
+    else:
+        g = build_family("theta", lengths=(1, 2, 2, 2))
+        decos = enumerate_decompositions(g)
+    for d in decos:
+        links = tuple((l.a, l.b, l.label) for l in build_ci(g, d).links)
+        assert links == oracle_ci_links([c.vertices for c in d.cycles])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), cycles=st.integers(1, 4), seed=st.integers(0, 10_000))
+def test_ci_rank_is_a_cycle_count(n, cycles, seed):
+    # each cycle through v uses two of its edges, so every decomposition
+    # puts deg(v)/2 cycles through v: the link count is fixed, and on a
+    # connected graph the rank falls by one per extra cycle
+    g = random_even(n, cycles, seed=seed)
+    if g.n_edges > 14:
+        return
+    links = sum(math.comb(g.degree(v) // 2, 2) for v in g.vertices)
+    for d in enumerate_decompositions(g):
+        ci = build_ci(g, d)
+        assert len(ci.links) == links
+        assert cycle_rank(ci) == links - len(d.cycles) + 1
 
 
 def test_cycle_rank_values():
     assert cycle_rank(path_ci(3)) == 0
-    three_cycle = CIGraph(3, (Link(0, 1, 5), Link(0, 2, 6), Link(1, 2, 7)), 1)
+    three_cycle = CIGraph(3, (Link(0, 1, 5), Link(0, 2, 6), Link(1, 2, 7)))
     assert cycle_rank(three_cycle) == 1
-    two_nodes = CIGraph(2, (Link(0, 1, 1), Link(0, 1, 2), Link(0, 1, 3)), 1)
+    two_nodes = CIGraph(2, (Link(0, 1, 1), Link(0, 1, 2), Link(0, 1, 3)))
     assert cycle_rank(two_nodes) == 2
-    assert cycle_rank(CIGraph(4, (), 4)) == 0
+    assert cycle_rank(CIGraph(4, ())) == 0
 
 
 def test_rank_zero_iff_forest():
@@ -108,7 +136,7 @@ def test_rank_zero_iff_forest():
             if rng.random() < 0.4
         ]
         links = tuple(Link(a, b, 0) for a, b in pairs)
-        ci = restrict_ci(CIGraph(n, links, 0), list(range(n)))[0]
+        ci = restrict_ci(CIGraph(n, links), list(range(n)))[0]
         forest = _is_forest_pairs(n, pairs)
         assert (cycle_rank(ci) == 0) == forest
 
@@ -135,7 +163,7 @@ def test_restrict_ci():
     sub, mapping = restrict_ci(ci, [0, 1, 3])
     assert sub.node_count == 3 and mapping == [0, 1, 3]
     assert [l.pair() for l in sub.links] == [(0, 1)]
-    assert sub.component_count == 2
+    assert cycle_rank(sub) == 0
 
 
 # -- matching -----------------------------------------------------------------
@@ -143,7 +171,7 @@ def test_restrict_ci():
 
 def test_matching_examples():
     assert len(max_matching(path_ci(3))) == 2
-    three_cycle = CIGraph(3, (Link(0, 1, 5), Link(0, 2, 6), Link(1, 2, 7)), 1)
+    three_cycle = CIGraph(3, (Link(0, 1, 5), Link(0, 2, 6), Link(1, 2, 7)))
     assert len(max_matching(three_cycle)) == 1
     for n in (1, 3, 6):
         assert len(max_matching(star_ci(n))) == (1 if n else 0)
@@ -159,13 +187,13 @@ def test_matching_is_valid_and_lexicographic():
     # the path 2-0-1-3-4-5-6: keeping 0-1 frees 2 and 3, and only the
     # search from 3 finds the augmenting path 3-4-5-6
     pairs = [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (5, 6)]
-    ci = CIGraph(7, tuple(Link(a, b, i) for i, (a, b) in enumerate(pairs)), 1)
+    ci = CIGraph(7, tuple(Link(a, b, i) for i, (a, b) in enumerate(pairs)))
     m = [l.pair() for l in max_matching(ci)]
     assert m == oracle_lex_first_matching(pairs) == [(0, 1), (3, 4), (5, 6)]
 
 
 def test_matching_collapses_parallel_links():
-    ci = CIGraph(2, (Link(0, 1, 4), Link(0, 1, 9)), 1)
+    ci = CIGraph(2, (Link(0, 1, 4), Link(0, 1, 9)))
     m = max_matching(ci)
     assert len(m) == 1 and m[0].label == 4  # first link of the bundle
 
@@ -174,7 +202,7 @@ def test_matching_needs_blossoms():
     # two triangles joined by a bridge: augmenting through odd cycles
     pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
     links = tuple(Link(a, b, i) for i, (a, b) in enumerate(pairs))
-    ci = CIGraph(6, links, 1)
+    ci = CIGraph(6, links)
     m = [l.pair() for l in max_matching(ci)]
     assert len(m) == oracle_max_matching(pairs) == 3
     assert m == oracle_lex_first_matching(pairs)
@@ -188,7 +216,7 @@ def test_matching_matches_exhaustive_oracle(n, seed):
         (a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.45
     ]
     links = tuple(Link(a, b, 1000 + i) for i, (a, b) in enumerate(pairs))
-    ci = CIGraph(n, links, 0)  # component count is irrelevant to matching
+    ci = CIGraph(n, links)
     m = [l.pair() for l in max_matching(ci)]
     assert len(m) == oracle_max_matching(pairs)
     assert m == oracle_lex_first_matching(pairs)
@@ -201,7 +229,7 @@ def test_msf_examples():
     assert msf(path_ci(3)).size == 2
     for n in range(1, 7):
         assert msf(star_ci(n)).size == n
-    lone = CIGraph(1, (), 1)
+    lone = CIGraph(1, ())
     cover = msf(lone)
     assert cover.size == 1 and cover.isolated_nodes == (0,)
 

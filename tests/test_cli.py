@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import refuse_graph_build
 from decycle.cigraph import build_ci
 from decycle.cigraph import to_dot as ci_to_dot
 from decycle.cli import main
@@ -65,6 +66,16 @@ def test_analyze_parse_error_is_usage_exit(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(p))
     assert code == 1
     assert "self-loop" in err
+
+
+def test_analyze_huge_header_is_usage_exit(tmp_path, capsys, monkeypatch):
+    refuse_graph_build(monkeypatch)
+    p = tmp_path / "huge.txt"
+    p.write_text("1000000000000 0\n")
+    code, _, err = run(capsys, "analyze", str(p))
+    assert code == 1
+    assert err.startswith("error:") and "over the limit" in err
+    assert "Traceback" not in err
 
 
 def test_analyze_requires_exactly_one_input(capsys):

@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw
+from conftest import raw, refuse_graph_build
 from decycle.errors import ParseError
 from decycle.families import random_even
 from decycle.multigraph import (
+    MAX_HEADER_VERTICES,
     Multigraph,
     is_acyclic,
     is_connected,
@@ -13,7 +14,6 @@ from decycle.multigraph import (
     parse_edge_list,
     to_dot,
     to_edge_list,
-    to_json_obj,
 )
 from oracles import oracle_acyclic
 
@@ -59,6 +59,15 @@ def test_parse_malformed_line():
 def test_parse_edge_count_mismatch():
     with pytest.raises(ParseError, match="declares 3"):
         parse_edge_list("3 3\n0 1\n1 2\n")
+
+
+def test_parse_header_vertex_limit(monkeypatch):
+    g = parse_edge_list("5 0\n")
+    assert g.vertices == (0, 1, 2, 3, 4) and g.n_edges == 0
+    refuse_graph_build(monkeypatch)
+    for n in (MAX_HEADER_VERTICES + 1, 10**12):
+        with pytest.raises(ParseError, match=f"line 1: header declares {n} vertices"):
+            parse_edge_list(f"{n} 0\n")
 
 
 def test_parse_empty_input():
@@ -148,8 +157,6 @@ def test_serialize_round_trip(doubled_triangle):
 
 
 def test_json_and_dot(triangle):
-    obj = to_json_obj(triangle)
-    assert obj == {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]]}
     dot = to_dot(triangle)
     assert dot.startswith("graph G {") and "0 -- 1" in dot
 
