@@ -279,24 +279,44 @@ def neighbors(g: Multigraph, d: CycleDecomposition) -> list[CycleDecomposition]:
     symmetric.
     """
     _require_valid(g, d)
+    return _moves(g, d, {})
+
+
+def _moves(
+    g: Multigraph,
+    d: CycleDecomposition,
+    splits: dict[frozenset[int], tuple[CycleDecomposition, ...]],
+) -> list[CycleDecomposition]:
+    """``neighbors`` of a valid ``d``, re-splitting each cycle union once.
+
+    ``splits`` maps a union's edge ids to every decomposition of it, or
+    to ``()`` when it has no move; a caller may share it across steps,
+    since a re-split depends only on the union's edges.
+    """
     found: dict[frozenset[frozenset[int]], CycleDecomposition] = {}
     base_key = d.canonical_key
     cycles = d.cycles
     for size in range(2, len(cycles) + 1):
         for subset in combinations(range(len(cycles)), size):
-            union = g.restricted_to_edges(
-                [eid for i in subset for eid in cycles[i].edges]
-            )
-            # Every move starts or ends with two cycles. Two simple cycles
-            # give each vertex degree at most 4, and two vertex-disjoint
-            # ones decompose only as themselves. So a union with a vertex
-            # of degree > 4, or in two parts, has no move.
-            if any(union.degree(v) > 4 for v in union.vertices):
-                continue
-            if not is_connected(union):
+            eids = frozenset(eid for i in subset for eid in cycles[i].edges)
+            resplits = splits.get(eids)
+            if resplits is None:
+                union = g.restricted_to_edges(eids)
+                # Every move starts or ends with two cycles. Two simple
+                # cycles give each vertex degree at most 4, and two
+                # vertex-disjoint ones decompose only as themselves. So a
+                # union with a vertex of degree > 4, or in two parts, has
+                # no move.
+                movable = all(
+                    union.degree(v) <= 4 for v in union.vertices
+                ) and is_connected(union)
+                resplits = splits[eids] = (
+                    tuple(enumerate_decompositions(union)) if movable else ()
+                )
+            if not resplits:
                 continue
             rest = tuple(c for i, c in enumerate(cycles) if i not in subset)
-            for split in enumerate_decompositions(union):
+            for split in resplits:
                 if min(size, len(split.cycles)) != 2:
                     continue
                 nd = CycleDecomposition(_sorted_cycles(rest + split.cycles))

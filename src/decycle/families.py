@@ -7,11 +7,12 @@ construction, and resamples until the union is connected.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 
-from .errors import DomainError
-from .multigraph import Multigraph, is_connected
+from .errors import DomainError, ParseError
+from .multigraph import MAX_HEADER_VERTICES, Multigraph, is_connected
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,30 @@ _BUILDERS = {
 FAMILY_NAMES = tuple(sorted(_BUILDERS))
 
 
+# Parameters that size the graph, so building it allocates in proportion.
+_SIZE_PARAMS = ("k", "n", "cycles", "nodes", "petals", "core", "min_len", "max_len")
+
+
+def _check_sizes(family: str, args: dict) -> None:
+    """Refuse any size over ``MAX_HEADER_VERTICES``, the edge-list header
+    limit, before the generator allocates for it. A sum or product of
+    sizes that bounds a family's edge or vertex count is a size too."""
+    ints = {k: v for k, v in args.items() if isinstance(v, int)}
+    sizes = {k: ints[k] for k in _SIZE_PARAMS if k in ints}
+    if family == "theta":
+        lengths = [l for l in args["lengths"] if isinstance(l, int)]
+        sizes["sum of lengths"] = sum(lengths)
+    elif family == "random_even" and {"n", "cycles"} <= ints.keys():
+        sizes["n * cycles"] = ints["n"] * ints["cycles"]
+    elif family == "cycle_tree" and {"nodes", "max_len"} <= ints.keys():
+        sizes["nodes * max_len"] = ints["nodes"] * ints["max_len"]
+    for name, value in sizes.items():
+        if value > MAX_HEADER_VERTICES:
+            raise ParseError(
+                f"{family} {name} = {value} is over the limit of {MAX_HEADER_VERTICES}"
+            )
+
+
 def build_family(family: str, **params) -> Multigraph:
     try:
         builder = _BUILDERS[family]
@@ -188,9 +213,12 @@ def build_family(family: str, **params) -> Multigraph:
         raise DomainError(
             f"unknown family {family!r}; choose from {', '.join(FAMILY_NAMES)}"
         ) from None
-    if family == "theta" and "lengths" in params:
-        params = dict(params, lengths=tuple(params["lengths"]))
     try:
+        if family == "theta" and "lengths" in params:
+            params = dict(params, lengths=tuple(params["lengths"]))
+        args = inspect.signature(builder).bind(**params)
+        args.apply_defaults()
+        _check_sizes(family, args.arguments)
         return builder(**params)
     except TypeError as exc:
         raise DomainError(f"bad parameters for family {family!r}: {exc}") from None

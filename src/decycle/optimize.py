@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
-from .cigraph import CIGraph, _build_ci, cycle_rank
+from .cigraph import CIGraph, _build_ci
 from .decompose import (
     CycleDecomposition,
+    _moves,
     decompose_greedy,
     enumerate_decompositions,
-    neighbors,
 )
 from .decycling import _construct_decycling
 from .errors import DisconnectedError, NotEvenError
@@ -45,12 +46,14 @@ class OptimizationResult:
         }
 
 
-def _evaluate(g: Multigraph, d: CycleDecomposition):
-    """Objective key and CI of a decomposition this module generated."""
-    ci = _build_ci(d)
-    rank = cycle_rank(ci)
-    bound = len(_construct_decycling(g, d, ci)[0])
-    return (rank, bound, d.sort_key), ci
+def _evaluate(g: Multigraph, d: CycleDecomposition, links: int):
+    """Objective key of a decomposition this module generated.
+
+    ``links`` is the CI link count of every decomposition of ``g``, so
+    the rank of the connected CI is ``links - len(d) + 1``.
+    """
+    bound = len(_construct_decycling(g, d, _build_ci(d))[0])
+    return (links - len(d) + 1, bound, d.sort_key)
 
 
 def optimize_decomposition(
@@ -74,39 +77,50 @@ def optimize_decomposition(
     if not is_connected(g):
         raise DisconnectedError("graph is disconnected; optimize per component")
 
-    best_key = None
-    best: Optional[tuple[CycleDecomposition, CIGraph]] = None
+    # every decomposition has deg(v)/2 cycles through v, one link per pair
+    links = sum(comb(g.degree(v) // 2, 2) for v in g.vertices)
+    best: Optional[tuple[tuple, CycleDecomposition]] = None
     evaluations = 0
 
-    def consider(d: CycleDecomposition):
-        nonlocal best_key, best, evaluations
-        key, ci = _evaluate(g, d)
+    def consider(d: CycleDecomposition, key: tuple) -> tuple:
+        nonlocal best, evaluations
         evaluations += 1
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (d, ci)
+        if best is None or key < best[0]:
+            best = (key, d)
         return key
 
     if method == "exhaustive":
         for d in enumerate_decompositions(g):
-            consider(d)
+            consider(d, _evaluate(g, d, links))
     else:
+        # Local search meets the same decompositions and cycle unions
+        # over and over: evaluate and re-split each one once per call.
+        # A decomposition's edge sets fix its key, and sort_key lists them.
+        keys: dict[tuple[tuple[int, ...], ...], tuple] = {}
+        splits: dict = {}
+
+        def key_of(d: CycleDecomposition) -> tuple:
+            sk = d.sort_key
+            if sk not in keys:
+                keys[sk] = _evaluate(g, d, links)
+            return keys[sk]
+
         rng = random.Random(seed)
         restart = 0
         while evaluations < budget:
             current = decompose_greedy(g, seed + restart)
             restart += 1
-            current_key = consider(current)
+            current_key = consider(current, key_of(current))
             escaped = False
             while evaluations < budget:
-                moves = neighbors(g, current)
+                moves = _moves(g, current, splits)
                 if not moves:
                     break
                 move_keys = []
                 for nd in moves:
                     if evaluations >= budget:
                         break
-                    move_keys.append((consider(nd), nd))
+                    move_keys.append((consider(nd, key_of(nd)), nd))
                 improving = [
                     (key, nd)
                     for key, nd in move_keys
@@ -124,12 +138,12 @@ def optimize_decomposition(
 
     if best is None:
         raise ValueError("graph has no cycle decomposition to evaluate")
-    d, ci = best
+    (rank, bound, _), d = best
     return OptimizationResult(
         best_decomposition=d,
-        best_ci=ci,
-        best_rank=best_key[0],
-        best_bound=best_key[1],
+        best_ci=_build_ci(d),
+        best_rank=rank,
+        best_bound=bound,
         evaluations=evaluations,
         method=method,
     )

@@ -1,10 +1,12 @@
 import sys
+from functools import wraps
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from decycle import families
 from decycle.families import build_family
 from decycle.multigraph import Multigraph
 
@@ -38,10 +40,19 @@ def raw(g: Multigraph):
 
 
 def refuse_graph_build(monkeypatch):
-    """Make ``Multigraph.from_edges`` fail, so a parse that must stop at
-    its header cannot go on to allocate the vertex count it declares."""
+    """Make ``Multigraph.from_edges`` and every family generator (keeping
+    its signature) fail, so a parse or a family build that must stop at
+    a size check cannot go on to allocate the size it was given."""
 
-    def refuse(*args):
-        raise AssertionError("graph built from a header that should be refused")
+    def refusing(func):
+        @wraps(func)
+        def refuse(*args, **kwargs):
+            raise AssertionError("graph built from a size that should be refused")
 
-    monkeypatch.setattr(Multigraph, "from_edges", staticmethod(refuse))
+        return refuse
+
+    monkeypatch.setattr(
+        Multigraph, "from_edges", staticmethod(refusing(Multigraph.from_edges))
+    )
+    for name, builder in list(families._BUILDERS.items()):
+        monkeypatch.setitem(families._BUILDERS, name, refusing(builder))

@@ -78,6 +78,35 @@ def test_analyze_huge_header_is_usage_exit(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--family", "cycle", "--k", "1000000000000"],
+        ["optimize", "--family", "random_even", "--n", "1000", "--cycles", "1001"],
+        ["exact", "--family", "cycle_tree", "--nodes", "1000001"],
+        ["gen", "--family", "theta", "--lengths", "1000000,1"],
+        ["gen", "--family", "flower", "--petals", "2", "--core", "1000001"],
+    ],
+)
+def test_family_size_over_limit_is_usage_exit(capsys, monkeypatch, argv):
+    refuse_graph_build(monkeypatch)
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and "over the limit" in err
+    assert "Traceback" not in err
+
+
+def test_bench_family_size_over_limit_is_usage_exit(tmp_path, capsys, monkeypatch):
+    refuse_graph_build(monkeypatch)
+    spec_path = tmp_path / "bench.json"
+    spec_path.write_text(json.dumps(
+        {"instances": [{"family": "doubled_cycle", "params": {"k": 10**12}}]}
+    ))
+    code, _, err = run(capsys, "bench", str(spec_path))
+    assert code == 1
+    assert err.startswith("error:") and "over the limit" in err
+
+
 def test_analyze_requires_exactly_one_input(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 1

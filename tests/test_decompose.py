@@ -8,6 +8,7 @@ from decycle.cigraph import build_ci, is_simple
 from decycle.decompose import (
     Cycle,
     CycleDecomposition,
+    _moves,
     decompose_greedy,
     decomposition_violations,
     enumerate_decompositions,
@@ -270,3 +271,27 @@ def test_neighbors_match_partition_oracle_random(n, cycles, seed):
     g = random_even(n, cycles, seed=seed)
     if g.n_edges <= 10:
         assert_neighbors_match_partition_oracle(g, limit=20)
+
+
+def assert_shared_splits_match_fresh_neighbors(g, limit=20):
+    """One ``splits`` memo over many decompositions gives the same moves,
+    whole ``Cycle`` tuples in order, as a fresh ``neighbors`` call."""
+    edges = [(u, v) for _, u, v in g.edges()]
+    splits = {}
+    for d in islice(enumerate_decompositions(g), limit):
+        moves = _moves(g, d, splits)
+        assert moves == neighbors(g, d)
+        assert keys(moves) == oracle_neighbor_keys(edges, d.canonical_key)
+
+
+def test_shared_splits_match_fresh_neighbors_families(theta_graph):
+    assert_shared_splits_match_fresh_neighbors(theta_graph)
+    assert_shared_splits_match_fresh_neighbors(build_family("doubled_cycle", k=4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(3, 6), cycles=st.integers(2, 4), seed=st.integers(0, 50_000))
+def test_shared_splits_match_fresh_neighbors_random(n, cycles, seed):
+    g = random_even(n, cycles, seed=seed)
+    if g.n_edges <= 10:
+        assert_shared_splits_match_fresh_neighbors(g)

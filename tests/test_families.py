@@ -1,8 +1,9 @@
 import pytest
 
+from conftest import refuse_graph_build
 from decycle.cigraph import build_ci, cycle_rank
 from decycle.decompose import decompose_greedy
-from decycle.errors import DomainError
+from decycle.errors import DomainError, ParseError
 from decycle.families import (
     FamilySpec,
     build_family,
@@ -14,7 +15,7 @@ from decycle.families import (
     theta,
     triangle_chain,
 )
-from decycle.multigraph import is_connected, is_even
+from decycle.multigraph import MAX_HEADER_VERTICES, is_connected, is_even
 
 
 @pytest.mark.parametrize(
@@ -102,3 +103,42 @@ def test_family_spec_builds_and_labels():
     g = spec.build()
     assert is_even(g)
     assert spec.label() == "flower(core=4,petals=2)"
+
+
+BIG = MAX_HEADER_VERTICES + 1
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("cycle", {"k": 10**12}),
+        ("doubled_cycle", {"k": BIG}),
+        ("triangle_chain", {"k": BIG}),
+        ("flower", {"petals": 3, "core": BIG}),
+        ("flower", {"petals": BIG, "core": 3}),
+        ("theta", {"lengths": [BIG, 1]}),
+        ("theta", {"lengths": [MAX_HEADER_VERTICES // 2 + 1] * 2}),
+        ("random_even", {"n": BIG, "cycles": 1}),
+        ("random_even", {"n": 7, "cycles": BIG}),
+        ("random_even", {"n": 1000, "cycles": 1001}),
+        ("cycle_tree", {"nodes": BIG}),
+        ("cycle_tree", {"nodes": 10, "max_len": BIG}),
+        ("cycle_tree", {"nodes": MAX_HEADER_VERTICES // 5 + 1}),  # max_len 5
+    ],
+)
+def test_family_size_over_limit_is_refused(monkeypatch, family, params):
+    refuse_graph_build(monkeypatch)
+    with pytest.raises(ParseError, match="over the limit of 1000000"):
+        build_family(family, **params)
+    with pytest.raises(ParseError, match="over the limit"):
+        FamilySpec(family, params).build()
+
+
+def test_family_size_at_limit_reaches_the_generator(monkeypatch):
+    refuse_graph_build(monkeypatch)
+    for family, params in [
+        ("cycle", {"k": MAX_HEADER_VERTICES}),
+        ("random_even", {"n": 1000, "cycles": 1000, "seed": 10**12}),
+    ]:
+        with pytest.raises(AssertionError, match="should be refused"):
+            build_family(family, **params)

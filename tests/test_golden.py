@@ -34,6 +34,16 @@ COMMANDS = {
         "optimize", "--family", "triangle_chain", "--k", "4",
         "--method", "local_search", "--budget", "60", "--json",
     ],
+    # the whole local-search trajectory at the benchmark's budget of 200;
+    # the random_even run takes plateau escapes
+    "optimize_local_search_budget200_json": [
+        "optimize", "--family", "triangle_chain", "--k", "4",
+        "--method", "local_search", "--budget", "200", "--json",
+    ],
+    "optimize_local_search_random_even_json": [
+        "optimize", "--family", "random_even", "--n", "7", "--cycles", "3",
+        "--seed", "12", "--method", "local_search", "--budget", "200", "--json",
+    ],
     "exact_random_even_json": [
         "exact", "--family", "random_even", "--n", "10", "--cycles", "4",
         "--seed", "1", "--json",
