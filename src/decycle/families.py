@@ -7,7 +7,6 @@ construction, and resamples until the union is connected.
 
 from __future__ import annotations
 
-import inspect
 import random
 from dataclasses import dataclass, field
 
@@ -28,10 +27,20 @@ class FamilySpec:
         return f"{self.family}({inner})"
 
 
+def _cap(family: str, size: str, value: int) -> None:
+    """Refuse a size over ``MAX_HEADER_VERTICES``, the edge-list header
+    limit, before a generator allocates in proportion to it."""
+    if value > MAX_HEADER_VERTICES:
+        raise ParseError(
+            f"{family} {size} = {value} is over the limit of {MAX_HEADER_VERTICES}"
+        )
+
+
 def cycle(k: int) -> Multigraph:
     """Single cycle on k vertices; k = 2 is a digon."""
     if k < 2:
         raise DomainError("cycle needs k >= 2")
+    _cap("cycle", "k", k)
     return Multigraph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
@@ -39,6 +48,7 @@ def doubled_cycle(k: int) -> Multigraph:
     """Cycle on k vertices with every edge doubled; all degrees 4."""
     if k < 2:
         raise DomainError("doubled_cycle needs k >= 2")
+    _cap("doubled_cycle", "k", k)
     pairs = []
     for i in range(k):
         pairs.append((i, (i + 1) % k))
@@ -57,6 +67,7 @@ def theta(lengths: tuple[int, ...]) -> Multigraph:
         raise DomainError("theta needs an even number of paths, at least 2")
     if any(l < 1 for l in lengths):
         raise DomainError("theta path lengths must be >= 1")
+    _cap("theta", "sum of lengths", sum(lengths))
     hub_a, hub_b = 0, 1
     pairs: list[tuple[int, int]] = []
     nxt = 2
@@ -74,6 +85,7 @@ def triangle_chain(k: int) -> Multigraph:
     """k triangles in a path, consecutive ones sharing a single vertex."""
     if k < 1:
         raise DomainError("triangle_chain needs k >= 1")
+    _cap("triangle_chain", "k", k)
     pairs = []
     for i in range(k):
         a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
@@ -87,6 +99,7 @@ def flower(petals: int, core: int) -> Multigraph:
         raise DomainError("flower needs core >= 3")
     if petals < 0 or petals > core:
         raise DomainError("flower needs 0 <= petals <= core")
+    _cap("flower", "core", core)
     pairs = [(i, (i + 1) % core) for i in range(core)]
     nxt = core
     for p in range(petals):
@@ -105,6 +118,8 @@ def random_even(n: int, cycles: int, seed: int = 0, max_tries: int = 2000) -> Mu
         raise DomainError("random_even needs n >= 2")
     if cycles < 1:
         raise DomainError("random_even needs cycles >= 1")
+    # n bounds the vertices, n * cycles the edges
+    _cap("random_even", "n * cycles", n * cycles)
     rng = random.Random(seed)
     for _ in range(max_tries):
         pairs: list[tuple[int, int]] = []
@@ -139,6 +154,7 @@ def cycle_tree(
         raise DomainError("cycle_tree needs nodes >= 1")
     if min_len < 3 or max_len < min_len:
         raise DomainError("cycle_tree needs 3 <= min_len <= max_len")
+    _cap("cycle_tree", "nodes * max_len", nodes * max_len)
     rng = random.Random(seed)
     parent = [0] * nodes
     for i in range(1, nodes):
@@ -182,30 +198,6 @@ _BUILDERS = {
 FAMILY_NAMES = tuple(sorted(_BUILDERS))
 
 
-# Parameters that size the graph, so building it allocates in proportion.
-_SIZE_PARAMS = ("k", "n", "cycles", "nodes", "petals", "core", "min_len", "max_len")
-
-
-def _check_sizes(family: str, args: dict) -> None:
-    """Refuse any size over ``MAX_HEADER_VERTICES``, the edge-list header
-    limit, before the generator allocates for it. A sum or product of
-    sizes that bounds a family's edge or vertex count is a size too."""
-    ints = {k: v for k, v in args.items() if isinstance(v, int)}
-    sizes = {k: ints[k] for k in _SIZE_PARAMS if k in ints}
-    if family == "theta":
-        lengths = [l for l in args["lengths"] if isinstance(l, int)]
-        sizes["sum of lengths"] = sum(lengths)
-    elif family == "random_even" and {"n", "cycles"} <= ints.keys():
-        sizes["n * cycles"] = ints["n"] * ints["cycles"]
-    elif family == "cycle_tree" and {"nodes", "max_len"} <= ints.keys():
-        sizes["nodes * max_len"] = ints["nodes"] * ints["max_len"]
-    for name, value in sizes.items():
-        if value > MAX_HEADER_VERTICES:
-            raise ParseError(
-                f"{family} {name} = {value} is over the limit of {MAX_HEADER_VERTICES}"
-            )
-
-
 def build_family(family: str, **params) -> Multigraph:
     try:
         builder = _BUILDERS[family]
@@ -216,9 +208,6 @@ def build_family(family: str, **params) -> Multigraph:
     try:
         if family == "theta" and "lengths" in params:
             params = dict(params, lengths=tuple(params["lengths"]))
-        args = inspect.signature(builder).bind(**params)
-        args.apply_defaults()
-        _check_sizes(family, args.arguments)
         return builder(**params)
     except TypeError as exc:
         raise DomainError(f"bad parameters for family {family!r}: {exc}") from None

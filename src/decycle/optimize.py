@@ -49,11 +49,13 @@ class OptimizationResult:
 def _evaluate(g: Multigraph, d: CycleDecomposition, links: int):
     """Objective key of a decomposition this module generated.
 
-    ``links`` is the CI link count of every decomposition of ``g``, so
-    the rank of the connected CI is ``links - len(d) + 1``.
+    ``links`` is the CI link count of every decomposition of ``g``. The
+    CI of connected ``g`` is one component, or none when ``g`` has no
+    edges, so its rank is ``links - len(d) + 1``, or 0 for no cycles.
     """
     bound = len(_construct_decycling(g, d, _build_ci(d))[0])
-    return (links - len(d) + 1, bound, d.sort_key)
+    components = 1 if d.cycles else 0
+    return (links - len(d) + components, bound, d.sort_key)
 
 
 def optimize_decomposition(

@@ -81,14 +81,16 @@ def test_analyze_huge_header_is_usage_exit(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["analyze", "--family", "cycle", "--k", "1000000000000"],
+        ["analyze", "--family", "cycle", "--k", "1000001"],
         ["optimize", "--family", "random_even", "--n", "1000", "--cycles", "1001"],
-        ["exact", "--family", "cycle_tree", "--nodes", "1000001"],
+        ["exact", "--family", "cycle_tree", "--nodes", "200001"],  # max_len 5
         ["gen", "--family", "theta", "--lengths", "1000000,1"],
         ["gen", "--family", "flower", "--petals", "2", "--core", "1000001"],
     ],
 )
 def test_family_size_over_limit_is_usage_exit(capsys, monkeypatch, argv):
+    # sizes just over the cap, so a missing cap allocates at most about
+    # a million edges before the refusing stub stops it
     refuse_graph_build(monkeypatch)
     code, _, err = run(capsys, *argv)
     assert code == 1
@@ -100,7 +102,7 @@ def test_bench_family_size_over_limit_is_usage_exit(tmp_path, capsys, monkeypatc
     refuse_graph_build(monkeypatch)
     spec_path = tmp_path / "bench.json"
     spec_path.write_text(json.dumps(
-        {"instances": [{"family": "doubled_cycle", "params": {"k": 10**12}}]}
+        {"instances": [{"family": "cycle", "params": {"k": 1000001}}]}
     ))
     code, _, err = run(capsys, "bench", str(spec_path))
     assert code == 1
@@ -190,6 +192,19 @@ def test_optimize_local_search(capsys):
     )
     assert code == 0
     assert "best rank: 1" in out
+
+
+@pytest.mark.parametrize("header", ["0 0", "1 0"])
+@pytest.mark.parametrize("method", ["exhaustive", "local_search"])
+def test_optimize_edgeless_graph(tmp_path, capsys, header, method):
+    p = tmp_path / "edgeless.txt"
+    p.write_text(header + "\n")
+    code, out, _ = run(
+        capsys, "optimize", str(p), "--method", method, "--budget", "5", "--json"
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["best_rank"] == 0 and obj["ci"] == {"links": [], "nodes": 0}
 
 
 def test_optimize_budget_zero_is_usage_error(capsys):

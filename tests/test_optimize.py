@@ -26,6 +26,15 @@ def test_exhaustive_single_cycle(c5):
     assert res.best_rank == 0 and res.evaluations == 1
 
 
+@pytest.mark.parametrize("vertices", [[], [0]])
+@pytest.mark.parametrize("method", ["exhaustive", "local_search"])
+def test_edgeless_graph_has_rank_zero(vertices, method):
+    # the empty decomposition: its CI has no node, so no component
+    res = optimize_decomposition(Multigraph(vertices, []), method=method, budget=5)
+    assert res.best_decomposition.cycles == ()
+    assert res.best_rank == 0 == cycle_rank(res.best_ci)
+
+
 def test_exhaustive_theta_never_simple(theta_graph):
     res = optimize_decomposition(theta_graph, method="exhaustive")
     assert res.best_rank == 1 and res.best_bound == 1
