@@ -18,7 +18,6 @@ from .decompose import (
     decomposition_violations,
     enumerate_decompositions,
     neighbors,
-    validate_decomposition,
 )
 from .decycling import (
     DEFAULT_ORACLE_LIMIT,

@@ -18,7 +18,7 @@ from .decompose import CycleDecomposition, _require_valid
 from .multigraph import Multigraph, find_root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """Labeled link between two cycle nodes; ``label`` is the shared
     graph vertex."""

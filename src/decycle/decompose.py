@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Iterator, Optional
+from itertools import combinations
+from typing import Iterator
 
 from .errors import InvalidDecompositionError, NotEvenError, ParseError
 from .multigraph import Multigraph, is_connected, is_even
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cycle:
     """A simple cycle: ``edges[i]`` joins ``vertices[i]`` and ``vertices[i+1]``
     (cyclically)."""
@@ -29,14 +29,6 @@ class Cycle:
     def __len__(self) -> int:
         return len(self.edges)
 
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
-    @property
-    def edge_key(self) -> frozenset[int]:
-        return frozenset(self.edges)
-
 
 @dataclass(frozen=True)
 class CycleDecomposition:
@@ -46,13 +38,9 @@ class CycleDecomposition:
         return len(self.cycles)
 
     @property
-    def canonical_key(self) -> frozenset[frozenset[int]]:
-        """Rotation/reflection-invariant identity: the set of edge-id sets."""
-        return frozenset(c.edge_key for c in self.cycles)
-
-    @property
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
-        """Deterministic total order compatible with ``canonical_key``."""
+        """Identity and total order: the sorted edge ids of each cycle,
+        sorted. Invariant under cycle order, rotation and reflection."""
         return tuple(sorted(tuple(sorted(c.edges)) for c in self.cycles))
 
     def to_json_obj(self) -> dict:
@@ -128,10 +116,6 @@ def decomposition_violations(g: Multigraph, d: CycleDecomposition) -> list[str]:
     if missing:
         problems.append(f"edges not covered: {sorted(missing)}")
     return problems
-
-
-def validate_decomposition(g: Multigraph, d: CycleDecomposition) -> bool:
-    return not decomposition_violations(g, d)
 
 
 def _require_valid(g: Multigraph, d: CycleDecomposition) -> None:
@@ -225,9 +209,7 @@ def _cycles_through(
     return extend(first)
 
 
-def enumerate_decompositions(
-    g: Multigraph, limit: Optional[int] = None
-) -> Iterator[CycleDecomposition]:
+def enumerate_decompositions(g: Multigraph) -> Iterator[CycleDecomposition]:
     """Yield every cycle decomposition of ``g`` exactly once.
 
     Peels cycles: the lowest uncovered edge lies on exactly one cycle of
@@ -240,8 +222,6 @@ def enumerate_decompositions(
     """
     if not is_even(g):
         raise NotEvenError("graph is not even")
-    if limit is not None and limit <= 0:
-        return
     adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     for eid, u, v in g.edges():
         adjacency[u].append((eid, v))
@@ -263,7 +243,7 @@ def enumerate_decompositions(
             chosen.pop()
             uncovered.update(cyc.edges)
 
-    yield from islice(rec(), limit)
+    yield from rec()
 
 
 # -- local moves ------------------------------------------------------------
@@ -293,8 +273,8 @@ def _moves(
     to ``()`` when it has no move; a caller may share it across steps,
     since a re-split depends only on the union's edges.
     """
-    found: dict[frozenset[frozenset[int]], CycleDecomposition] = {}
-    base_key = d.canonical_key
+    found: dict[tuple[tuple[int, ...], ...], CycleDecomposition] = {}
+    base_key = d.sort_key
     cycles = d.cycles
     for size in range(2, len(cycles) + 1):
         for subset in combinations(range(len(cycles)), size):
@@ -320,7 +300,7 @@ def _moves(
                 if min(size, len(split.cycles)) != 2:
                     continue
                 nd = CycleDecomposition(_sorted_cycles(rest + split.cycles))
-                key = nd.canonical_key
+                key = nd.sort_key
                 if key != base_key:
                     found.setdefault(key, nd)
-    return sorted(found.values(), key=lambda nd: nd.sort_key)
+    return [found[k] for k in sorted(found)]

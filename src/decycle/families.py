@@ -108,7 +108,11 @@ def flower(petals: int, core: int) -> Multigraph:
     return Multigraph.from_edges(nxt, pairs)
 
 
-def random_even(n: int, cycles: int, seed: int = 0, max_tries: int = 2000) -> Multigraph:
+# samples random_even draws before it gives up on a connected union
+MAX_TRIES = 2000
+
+
+def random_even(n: int, cycles: int, seed: int = 0) -> Multigraph:
     """Connected even graph: the edge-union of random simple cycles.
 
     Cycle lengths are drawn in 2..n (2 gives a digon). Resamples until
@@ -121,7 +125,7 @@ def random_even(n: int, cycles: int, seed: int = 0, max_tries: int = 2000) -> Mu
     # n bounds the vertices, n * cycles the edges
     _cap("random_even", "n * cycles", n * cycles)
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         pairs: list[tuple[int, int]] = []
         for _ in range(cycles):
             length = rng.randint(2, n)
@@ -133,7 +137,7 @@ def random_even(n: int, cycles: int, seed: int = 0, max_tries: int = 2000) -> Mu
             return g
     raise DomainError(
         f"could not sample a connected union of {cycles} cycles on {n} "
-        f"vertices in {max_tries} tries"
+        f"vertices in {MAX_TRIES} tries"
     )
 
 

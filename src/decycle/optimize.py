@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
 from typing import Optional
 
-from .cigraph import CIGraph, _build_ci
+from .cigraph import CIGraph, _build_ci, cycle_rank
 from .decompose import (
     CycleDecomposition,
     _moves,
@@ -46,16 +45,11 @@ class OptimizationResult:
         }
 
 
-def _evaluate(g: Multigraph, d: CycleDecomposition, links: int):
-    """Objective key of a decomposition this module generated.
-
-    ``links`` is the CI link count of every decomposition of ``g``. The
-    CI of connected ``g`` is one component, or none when ``g`` has no
-    edges, so its rank is ``links - len(d) + 1``, or 0 for no cycles.
-    """
-    bound = len(_construct_decycling(g, d, _build_ci(d))[0])
-    components = 1 if d.cycles else 0
-    return (links - len(d) + components, bound, d.sort_key)
+def _evaluate(g: Multigraph, d: CycleDecomposition):
+    """Objective key of a decomposition this module generated."""
+    ci = _build_ci(d)
+    bound = len(_construct_decycling(g, d, ci)[0])
+    return (cycle_rank(ci), bound, d.sort_key)
 
 
 def optimize_decomposition(
@@ -79,8 +73,6 @@ def optimize_decomposition(
     if not is_connected(g):
         raise DisconnectedError("graph is disconnected; optimize per component")
 
-    # every decomposition has deg(v)/2 cycles through v, one link per pair
-    links = sum(comb(g.degree(v) // 2, 2) for v in g.vertices)
     best: Optional[tuple[tuple, CycleDecomposition]] = None
     evaluations = 0
 
@@ -93,7 +85,7 @@ def optimize_decomposition(
 
     if method == "exhaustive":
         for d in enumerate_decompositions(g):
-            consider(d, _evaluate(g, d, links))
+            consider(d, _evaluate(g, d))
     else:
         # Local search meets the same decompositions and cycle unions
         # over and over: evaluate and re-split each one once per call.
@@ -104,7 +96,7 @@ def optimize_decomposition(
         def key_of(d: CycleDecomposition) -> tuple:
             sk = d.sort_key
             if sk not in keys:
-                keys[sk] = _evaluate(g, d, links)
+                keys[sk] = _evaluate(g, d)
             return keys[sk]
 
         rng = random.Random(seed)

@@ -107,12 +107,12 @@ def test_criterion_4_doubled_triangle_reproduction(doubled_triangle):
         shapes == [(2, 2, 2), (3, 3), (3, 3), (3, 3), (3, 3)]
         and len(digon_decos) == 1
         and all(
-            {tuple(sorted(c.vertex_set)) for c in d.cycles}
+            {tuple(sorted(c.vertices)) for c in d.cycles}
             == {(0, 1), (1, 2), (0, 2)}
             for d in digon_decos
         )
         and all(
-            all(c.vertex_set == {0, 1, 2} for c in d.cycles)
+            all(set(c.vertices) == {0, 1, 2} for c in d.cycles)
             for d in decos
             if len(d.cycles) == 2
         )

@@ -288,6 +288,17 @@ def test_bench_bad_strategy(tmp_path, capsys):
     assert code == 1 and "strategy" in err
 
 
+def test_bench_unknown_family_parameter_is_domain_exit(tmp_path, capsys):
+    spec_path = tmp_path / "bench.json"
+    params = {"n": 4, "cycles": 1, "max_tries": 3}
+    spec_path.write_text(json.dumps(
+        {"instances": [{"family": "random_even", "params": params}]}
+    ))
+    code, _, err = run(capsys, "bench", str(spec_path))
+    assert code == 2
+    assert err.startswith("error: bad parameters") and "max_tries" in err
+
+
 def test_decomposition_missing_key_is_usage_error(tmp_path, capsys):
     p = tmp_path / "empty.json"
     p.write_text("{}")

@@ -1,3 +1,4 @@
+import random
 from itertools import islice
 
 import pytest
@@ -13,7 +14,6 @@ from decycle.decompose import (
     decomposition_violations,
     enumerate_decompositions,
     neighbors,
-    validate_decomposition,
 )
 from decycle.errors import InvalidDecompositionError, NotEvenError
 from decycle.families import build_family, random_even
@@ -21,8 +21,13 @@ from decycle.multigraph import Multigraph
 from oracles import oracle_count_decompositions, oracle_neighbor_keys
 
 
+def key(d):
+    """Identity of ``d`` built apart from ``sort_key``: its edge-id sets."""
+    return frozenset(frozenset(c.edges) for c in d.cycles)
+
+
 def keys(decos):
-    return {d.canonical_key for d in decos}
+    return {key(d) for d in decos}
 
 
 def shape(d):
@@ -34,7 +39,7 @@ def shape(d):
 
 def test_validate_triangle(triangle):
     d = CycleDecomposition((Cycle((0, 1, 2), (0, 1, 2)),))
-    assert validate_decomposition(triangle, d)
+    assert not decomposition_violations(triangle, d)
 
 
 def test_validate_three_digons(doubled_triangle):
@@ -45,12 +50,11 @@ def test_validate_three_digons(doubled_triangle):
             Cycle((0, 2), (4, 5)),
         )
     )
-    assert validate_decomposition(doubled_triangle, d)
+    assert not decomposition_violations(doubled_triangle, d)
 
 
 def test_validate_empty_is_uncovered(triangle):
     d = CycleDecomposition(())
-    assert not validate_decomposition(triangle, d)
     assert any("not covered" in p for p in decomposition_violations(triangle, d))
 
 
@@ -58,7 +62,9 @@ def test_validate_catches_bad_cycles(triangle):
     repeated = CycleDecomposition((Cycle((0, 1, 0), (0, 1, 2)),))
     assert any("repeated" in p for p in decomposition_violations(triangle, repeated))
     misaligned = CycleDecomposition((Cycle((0, 2, 1), (0, 1, 2)),))
-    assert not validate_decomposition(triangle, misaligned)
+    assert any(
+        "does not join" in p for p in decomposition_violations(triangle, misaligned)
+    )
     unknown = CycleDecomposition((Cycle((0, 1, 2), (0, 1, 9)),))
     assert any("unknown edge" in p for p in decomposition_violations(triangle, unknown))
     short = CycleDecomposition((Cycle((0,), (0,)),))
@@ -68,8 +74,8 @@ def test_validate_catches_bad_cycles(triangle):
 def test_decomposition_json_round_trip(doubled_triangle):
     d = decompose_greedy(doubled_triangle, seed=3)
     again = CycleDecomposition.from_json_obj(d.to_json_obj())
-    assert again.canonical_key == d.canonical_key
-    assert validate_decomposition(doubled_triangle, again)
+    assert again.sort_key == d.sort_key
+    assert not decomposition_violations(doubled_triangle, again)
 
 
 # -- greedy -----------------------------------------------------------------
@@ -79,14 +85,14 @@ def test_greedy_single_cycle(c5):
     d = decompose_greedy(c5)
     assert len(d.cycles) == 1
     assert set(d.cycles[0].vertices) == {0, 1, 2, 3, 4}
-    assert validate_decomposition(c5, d)
+    assert not decomposition_violations(c5, d)
 
 
 def test_greedy_doubled_triangle_all_seeds(doubled_triangle):
     shapes = set()
     for seed in range(40):
         d = decompose_greedy(doubled_triangle, seed=seed)
-        assert validate_decomposition(doubled_triangle, d)
+        assert not decomposition_violations(doubled_triangle, d)
         shapes.add(shape(d))
     assert shapes <= {(2, 2, 2), (3, 3)}
 
@@ -95,7 +101,7 @@ def test_greedy_theta_is_enumerated_member(theta_graph):
     everything = keys(enumerate_decompositions(theta_graph))
     for seed in range(20):
         d = decompose_greedy(theta_graph, seed=seed)
-        assert d.canonical_key in everything
+        assert key(d) in everything
 
 
 def test_greedy_rejects_odd_graph():
@@ -124,7 +130,7 @@ def test_enumerate_doubled_triangle(doubled_triangle):
         (2, 2, 2), (3, 3), (3, 3), (3, 3), (3, 3),
     ]
     assert len(keys(decos)) == 5
-    assert all(validate_decomposition(doubled_triangle, d) for d in decos)
+    assert not any(decomposition_violations(doubled_triangle, d) for d in decos)
 
 
 def test_enumerate_theta(theta_graph):
@@ -133,16 +139,11 @@ def test_enumerate_theta(theta_graph):
     for d in decos:
         assert shape(d) == (3, 4)
         pair_shares = [
-            len(a.vertex_set & b.vertex_set)
+            len(set(a.vertices) & set(b.vertices))
             for i, a in enumerate(d.cycles)
             for b in d.cycles[i + 1 :]
         ]
         assert max(pair_shares) >= 2
-
-
-def test_enumerate_limit(doubled_triangle):
-    assert len(list(enumerate_decompositions(doubled_triangle, limit=2))) == 2
-    assert list(enumerate_decompositions(doubled_triangle, limit=0)) == []
 
 
 def test_enumerate_rejects_odd_graph():
@@ -179,7 +180,7 @@ def test_enumerate_count_matches_partition_oracle_random(n, cycles, seed):
     assert len(decos) == want
     assert len(keys(decos)) == len(decos)
     for d in decos:
-        assert validate_decomposition(g, d)
+        assert not decomposition_violations(g, d)
         for c in d.cycles:
             # written from the lower endpoint of the lowest edge, along it
             assert c.edges[0] == min(c.edges)
@@ -193,13 +194,50 @@ def test_simple_ci_filter_matches_is_simple(doubled_triangle, theta_graph):
         found = False
         for d in enumerate_decompositions(g):
             pairwise_ok = all(
-                len(a.vertex_set & b.vertex_set) <= 1
+                len(set(a.vertices) & set(b.vertices)) <= 1
                 for i, a in enumerate(d.cycles)
                 for b in d.cycles[i + 1 :]
             )
             assert pairwise_ok == is_simple(build_ci(g, d))
             found = found or pairwise_ok
         assert found == expect_any
+
+
+# -- identity -----------------------------------------------------------------
+
+
+def assert_sort_key_is_identity(g, rng):
+    """Distinct decompositions have distinct sort keys, one per oracle
+    decomposition, and reordering or re-writing cycles keeps the key."""
+    decos = list(enumerate_decompositions(g))
+    want = oracle_count_decompositions([(u, v) for _, u, v in g.edges()])
+    assert len({d.sort_key for d in decos}) == len(decos) == want
+    for d in decos:
+        moved = []
+        for c in d.cycles:
+            r = rng.randrange(len(c))
+            vs, es = c.vertices[r:] + c.vertices[:r], c.edges[r:] + c.edges[:r]
+            # reversed, edges[i] still joins vertices[i] and vertices[i + 1]
+            moved.append(Cycle(vs[:1] + vs[:0:-1], es[::-1]))
+        rng.shuffle(moved)
+        again = CycleDecomposition(tuple(moved))
+        assert not decomposition_violations(g, again)
+        assert again.sort_key == d.sort_key
+
+
+def test_sort_key_is_identity_families(theta_graph):
+    rng = random.Random(5)
+    assert_sort_key_is_identity(theta_graph, rng)
+    for k in (3, 4):
+        assert_sort_key_is_identity(build_family("doubled_cycle", k=k), rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(3, 6), cycles=st.integers(1, 3), seed=st.integers(0, 50_000))
+def test_sort_key_is_identity_random(n, cycles, seed):
+    g = random_even(n, cycles, seed=seed)
+    if g.n_edges <= 10:
+        assert_sort_key_is_identity(g, random.Random(seed))
 
 
 # -- neighbors ----------------------------------------------------------------
@@ -213,7 +251,7 @@ def test_neighbors_doubled_triangle(doubled_triangle):
     assert len(ns) == 4 and all(shape(n) == (3, 3) for n in ns)
     split = by_shape[(3, 3)]
     ns2 = neighbors(doubled_triangle, split)
-    assert digons.canonical_key in keys(ns2)
+    assert key(digons) in keys(ns2)
     assert len(ns2) == 4
 
 
@@ -225,7 +263,7 @@ def test_neighbors_theta_connects_all(theta_graph):
     decos = list(enumerate_decompositions(theta_graph))
     for d in decos:
         ns = neighbors(theta_graph, d)
-        assert keys(ns) == keys(decos) - {d.canonical_key}
+        assert keys(ns) == keys(decos) - {key(d)}
 
 
 def test_neighbors_rejects_invalid(triangle):
@@ -238,7 +276,7 @@ def test_neighbors_rejects_invalid(triangle):
 def test_greedy_valid_and_covers_all_edges(n, cycles, seed):
     g = random_even(n, cycles, seed=seed)
     d = decompose_greedy(g, seed=seed)
-    assert validate_decomposition(g, d)
+    assert not decomposition_violations(g, d)
     assert sum(len(c) for c in d.cycles) == g.n_edges
 
 
@@ -248,13 +286,13 @@ def test_neighbors_symmetric(n, cycles, seed):
     g = random_even(n, cycles, seed=seed)
     d = decompose_greedy(g, seed=0)
     for nd in neighbors(g, d):
-        assert d.canonical_key in keys(neighbors(g, nd))
+        assert key(d) in keys(neighbors(g, nd))
 
 
 def assert_neighbors_match_partition_oracle(g, limit=None):
     edges = [(u, v) for _, u, v in g.edges()]
     for d in islice(enumerate_decompositions(g), limit):
-        want = oracle_neighbor_keys(edges, d.canonical_key)
+        want = oracle_neighbor_keys(edges, key(d))
         assert keys(neighbors(g, d)) == want
 
 
@@ -281,7 +319,7 @@ def assert_shared_splits_match_fresh_neighbors(g, limit=20):
     for d in islice(enumerate_decompositions(g), limit):
         moves = _moves(g, d, splits)
         assert moves == neighbors(g, d)
-        assert keys(moves) == oracle_neighbor_keys(edges, d.canonical_key)
+        assert keys(moves) == oracle_neighbor_keys(edges, key(d))
 
 
 def test_shared_splits_match_fresh_neighbors_families(theta_graph):

@@ -226,11 +226,11 @@ def test_minimum_sets_cover_tree_ci():
         links = [l for l in ci.links if l.label in picked]
         covered = {v for l in links for v in l.pair()}
         on_cycles = lambda v: [
-            i for i, c in enumerate(d.cycles) if v in c.vertex_set
+            i for i, c in enumerate(d.cycles) if v in c.vertices
         ]
         isolated = set()
         for node, cyc in enumerate(d.cycles):
-            hits = picked & cyc.vertex_set
+            hits = picked & set(cyc.vertices)
             assert hits, "a decycling set must hit every cycle"
             if node not in covered:
                 assert any(len(on_cycles(v)) == 1 for v in hits)

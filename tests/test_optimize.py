@@ -83,7 +83,6 @@ def test_local_never_beats_exhaustive(n, cycles, seed):
     loc = optimize_decomposition(g, method="local_search", budget=60, seed=seed)
     assert loc.best_rank >= exh.best_rank
     for res in (exh, loc):
-        # the rank comes from the link-count identity, not from the CI
         assert res.best_ci == build_ci(g, res.best_decomposition)
         assert res.best_rank == cycle_rank(res.best_ci)
 
