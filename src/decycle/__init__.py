@@ -42,7 +42,7 @@ from .errors import (
     OracleLimitError,
     ParseError,
 )
-from .families import FamilySpec, build_family
+from .families import build_family
 from .multigraph import (
     DecyclingSet,
     Multigraph,

@@ -9,7 +9,7 @@ from typing import Optional
 
 from .decycling import analyze
 from .errors import ParseError
-from .families import FamilySpec
+from .families import build_family
 from .multigraph import Multigraph
 from .optimize import optimize_decomposition
 
@@ -134,9 +134,10 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
         params = inst.get("params", {})
         if not isinstance(params, dict):
             raise ParseError(f"bench instance {idx} 'params' must be a JSON object")
-        fam = FamilySpec(inst["family"], dict(params))
-        graph_id = str(inst.get("id", f"{idx}:{fam.label()}"))
-        g = fam.build()
+        family = inst["family"]
+        label = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+        graph_id = str(inst.get("id", f"{idx}:{family}({label})"))
+        g = build_family(family, **params)
         for strategy in strategies:
             rows.append(
                 run_instance(

@@ -30,7 +30,7 @@ class Cycle:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CycleDecomposition:
     cycles: tuple[Cycle, ...]
 
@@ -138,40 +138,33 @@ def decompose_greedy(g: Multigraph, seed: int = 0) -> CycleDecomposition:
     if not is_even(g):
         raise NotEvenError("graph is not even")
     rng = random.Random(seed)
-    residual: dict[int, tuple[int, int]] = dict(
-        (eid, (u, v)) for eid, u, v in g.edges()
-    )
     incident: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for eid, (u, v) in residual.items():
+    for eid, u, v in g.edges():
         incident[u].add(eid)
         incident[v].add(eid)
     cycles: list[Cycle] = []
-    while residual:
-        start = min(v for v, eids in incident.items() if eids)
-        path_vertices = [start]
-        path_edges: list[int] = []
-        position = {start: 0}
-        v = start
-        while True:
-            options = sorted(e for e in incident[v] if e not in path_edges)
-            rng.shuffle(options)
-            eid = options[0]
-            u, w = residual[eid]
-            nxt = w if v == u else u
-            if nxt in position:
-                i = position[nxt]
-                cyc_vertices = tuple(path_vertices[i:])
-                cyc_edges = tuple(path_edges[i:] + [eid])
-                for ce in cyc_edges:
-                    a, b = residual.pop(ce)
-                    incident[a].discard(ce)
-                    incident[b].discard(ce)
-                cycles.append(Cycle(cyc_vertices, cyc_edges))
-                break
-            position[nxt] = len(path_vertices)
-            path_vertices.append(nxt)
-            path_edges.append(eid)
-            v = nxt
+    # removing edges never gives a lower vertex residual edges back, so
+    # one ascending sweep finds the start of every walk
+    for start in g.vertices:
+        while incident[start]:
+            position: dict[int, int] = {}  # path vertex -> its index
+            path_edges: list[int] = []
+            v, last = start, None
+            while v not in position:
+                position[v] = len(position)
+                # a simple path touches its end only through its last edge
+                options = sorted(e for e in incident[v] if e != last)
+                rng.shuffle(options)
+                last = options[0]
+                path_edges.append(last)
+                u, w = g.endpoints(last)
+                v = w if v == u else u
+            i = position[v]
+            cyc_edges = tuple(path_edges[i:])
+            for e in cyc_edges:
+                for x in g.endpoints(e):
+                    incident[x].discard(e)
+            cycles.append(Cycle(tuple(position)[i:], cyc_edges))
     return CycleDecomposition(_sorted_cycles(cycles))
 
 

@@ -81,8 +81,7 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
                 multi_labels[link.label] = multi_labels.get(link.label, 0) + 1
     removed: set[int] = set()
     survivors: list[Link] = []
-    for pair in sorted(bundles):
-        links = bundles[pair]
+    for links in bundles.values():
         if len(links) == 1:
             survivors.append(links[0])
             continue
@@ -312,7 +311,8 @@ def analyze_components(
     if d is not None:
         _require_valid(g, d)
     out = []
-    for part in g.components():
+    # a graph with no vertex has no component but is still one part
+    for part in g.components() or [g]:
         if d is None:
             part_d = decompose_greedy(part, seed)
         else:

@@ -8,23 +8,9 @@ construction, and resamples until the union is connected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import DomainError, ParseError
 from .multigraph import MAX_HEADER_VERTICES, Multigraph, is_connected
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    params: dict = field(default_factory=dict)
-
-    def build(self) -> Multigraph:
-        return build_family(self.family, **self.params)
-
-    def label(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.family}({inner})"
 
 
 def _cap(family: str, size: str, value: int) -> None:

@@ -130,8 +130,6 @@ def optimize_decomposition(
                 else:
                     break
 
-    if best is None:
-        raise ValueError("graph has no cycle decomposition to evaluate")
     (rank, bound, _), d = best
     return OptimizationResult(
         best_decomposition=d,

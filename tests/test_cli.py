@@ -195,6 +195,21 @@ def test_optimize_local_search(capsys):
 
 
 @pytest.mark.parametrize("header", ["0 0", "1 0"])
+def test_analyze_edgeless_graph(tmp_path, capsys, header):
+    p = tmp_path / "edgeless.txt"
+    p.write_text(header + "\n")
+    code, out, _ = run(capsys, "analyze", str(p))
+    assert code == 0
+    assert "decomposition: 0 cycles: \n" in out
+    assert "diagnostic rank/cover gap: 0\n" in out
+    code, out, _ = run(capsys, "analyze", str(p), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["decomposition"] == {"cycles": [], "edge_ids": []}
+    assert obj["rank_cover_gap"] == 0 and "components" not in obj
+
+
+@pytest.mark.parametrize("header", ["0 0", "1 0"])
 @pytest.mark.parametrize("method", ["exhaustive", "local_search"])
 def test_optimize_edgeless_graph(tmp_path, capsys, header, method):
     p = tmp_path / "edgeless.txt"

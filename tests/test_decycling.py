@@ -186,6 +186,16 @@ def test_analyze_components_and_merge():
     assert len(total.witness_sets["general"].vertices) == 2
 
 
+
+@pytest.mark.parametrize("vertices", [[], [0]])
+def test_analyze_components_of_edgeless_graph(vertices):
+    # the vertexless graph has no component, yet is analysed as one part
+    g = Multigraph(vertices, [])
+    (report,) = analyze_components(g)
+    assert report == analyze(g)
+    assert report.decomposition == CycleDecomposition(())
+    assert report.rank_cover_gap == 0 and report.general_bound == 0
+
 def test_closed_forms_up_to_eight():
     # path-CI chains: ceil((n+1)/2); star-CI flowers: n; up to n = 8
     for n in range(1, 9):

@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 
 from conftest import refuse_graph_build
@@ -5,8 +7,8 @@ from decycle.cigraph import build_ci, cycle_rank
 from decycle.decompose import decompose_greedy
 from decycle.errors import DomainError, ParseError
 from decycle import families
+from decycle.bench import run_bench
 from decycle.families import (
-    FamilySpec,
     build_family,
     cycle,
     cycle_tree,
@@ -99,11 +101,17 @@ def test_family_validation_errors():
         build_family("cycle", wrong=3)
 
 
-def test_family_spec_builds_and_labels():
-    spec = FamilySpec("flower", {"petals": 2, "core": 4})
-    g = spec.build()
-    assert is_even(g)
-    assert spec.label() == "flower(core=4,petals=2)"
+def test_build_family_builds_and_bench_labels(tmp_path):
+    params = {"petals": 2, "core": 4}
+    assert is_even(build_family("flower", **params))
+    spec = {"instances": [{"family": "flower", "params": params}],
+            "strategies": ["greedy"]}
+    out = tmp_path / "rows.csv"
+    run_bench(spec, str(out))
+    # the default graph id: instance index, family, params sorted by key
+    with open(out) as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["graph_id"] == "0:flower(core=4,petals=2)"
 
 
 # The generators read the cap at call time, so the tests below lower it
@@ -135,7 +143,7 @@ def test_family_size_over_limit_is_refused(monkeypatch, family, params):
     with pytest.raises(ParseError, match=f"over the limit of {LIMIT}$"):
         build_family(family, **params)
     with pytest.raises(ParseError, match="over the limit"):
-        FamilySpec(family, params).build()
+        run_bench({"instances": [{"family": family, "params": params}]})
 
 
 @pytest.mark.parametrize(
