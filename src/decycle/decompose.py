@@ -258,13 +258,15 @@ def neighbors(g: Multigraph, d: CycleDecomposition) -> list[CycleDecomposition]:
 def _moves(
     g: Multigraph,
     d: CycleDecomposition,
-    splits: dict[frozenset[int], tuple[CycleDecomposition, ...]],
+    splits: dict[tuple[frozenset[int], bool], tuple[CycleDecomposition, ...]],
 ) -> list[CycleDecomposition]:
     """``neighbors`` of a valid ``d``, re-splitting each cycle union once.
 
-    ``splits`` maps a union's edge ids to every decomposition of it, or
-    to ``()`` when it has no move; a caller may share it across steps,
-    since a re-split depends only on the union's edges.
+    ``splits`` maps a union's edge ids, and whether it was reached from
+    exactly two cycles, to the decompositions of it the move rule allows
+    from there: every one from two cycles, only the two-cycle ones from
+    three or more. A caller may share it across steps, since a re-split
+    depends only on that key.
     """
     found: dict[tuple[tuple[int, ...], ...], CycleDecomposition] = {}
     base_key = d.sort_key
@@ -272,7 +274,8 @@ def _moves(
     for size in range(2, len(cycles) + 1):
         for subset in combinations(range(len(cycles)), size):
             eids = frozenset(eid for i in subset for eid in cycles[i].edges)
-            resplits = splits.get(eids)
+            memo_key = (eids, size == 2)
+            resplits = splits.get(memo_key)
             if resplits is None:
                 union = g.restricted_to_edges(eids)
                 # Every move starts or ends with two cycles. Two simple
@@ -283,15 +286,19 @@ def _moves(
                 movable = all(
                     union.degree(v) <= 4 for v in union.vertices
                 ) and is_connected(union)
-                resplits = splits[eids] = (
-                    tuple(enumerate_decompositions(union)) if movable else ()
+                resplits = splits[memo_key] = (
+                    tuple(
+                        split
+                        for split in enumerate_decompositions(union)
+                        if min(size, len(split.cycles)) == 2
+                    )
+                    if movable
+                    else ()
                 )
             if not resplits:
                 continue
             rest = tuple(c for i, c in enumerate(cycles) if i not in subset)
             for split in resplits:
-                if min(size, len(split.cycles)) != 2:
-                    continue
                 nd = CycleDecomposition(_sorted_cycles(rest + split.cycles))
                 key = nd.sort_key
                 if key != base_key:

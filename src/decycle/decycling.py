@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .cigraph import CIGraph, ForestCover, Link, _build_ci, _closing_links
@@ -157,6 +157,13 @@ def exact_decycling_number(
     Tries sizes 0, 1, 2, ... and returns the lexicographically first
     witness of the minimum size. Refuses graphs over ``limit`` vertices
     (default 20); pass a higher limit at your own risk.
+
+    Subsets are walked depth first in ``combinations`` order. A forest
+    on r vertices has at most r - 1 edges, so a k-subset is tested for
+    acyclicity only if it removes at least ``m - max(n - k - 1, 0)``
+    edges, and a branch is dropped once even the largest degrees left
+    to pick cannot reach that count. Only subsets that cannot be
+    decycling are skipped, so the first witness is unchanged.
     """
     cap = DEFAULT_ORACLE_LIMIT if limit is None else limit
     if g.n_vertices > cap:
@@ -164,10 +171,46 @@ def exact_decycling_number(
             f"graph has {g.n_vertices} vertices, over the exhaustive-search "
             f"limit of {cap}"
         )
-    for k in range(g.n_vertices + 1):
-        for combo in combinations(g.vertices, k):
-            if is_acyclic(g, combo):
-                return k, DecyclingSet(frozenset(combo), certified=True)
+    verts = g.vertices
+    n, m = len(verts), g.n_edges
+    index = {v: i for i, v in enumerate(verts)}
+    deg = [g.degree(v) for v in verts]
+    mult = [[0] * n for _ in range(n)]  # parallel edges between i and j
+    for _, u, v in g.edges():
+        i, j = index[u], index[v]
+        mult[i][j] += 1
+        mult[j][i] += 1
+    # reach[i][r]: the r largest degrees among vertices i.. summed; it
+    # bounds what r more picks from i on can remove, and falls as i grows
+    reach = [
+        list(accumulate(sorted(deg[i:], reverse=True), initial=0))
+        for i in range(n + 1)
+    ]
+    chosen: list[int] = []
+
+    def walk(
+        start: int, left: int, removed: int, need: int
+    ) -> Optional[frozenset[int]]:
+        if not left:
+            if removed < need:
+                return None
+            subset = frozenset(verts[i] for i in chosen)
+            return subset if is_acyclic(g, subset) else None
+        for i in range(start, n - left + 1):
+            if removed + reach[i][left] < need:
+                return None
+            gain = deg[i] - sum(mult[i][j] for j in chosen)
+            chosen.append(i)
+            found = walk(i + 1, left - 1, removed + gain, need)
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    for k in range(n + 1):
+        found = walk(0, k, 0, m - max(n - k - 1, 0))
+        if found is not None:
+            return k, DecyclingSet(found, certified=True)
     raise InvariantError("subset search exhausted without an acyclic remainder")
 
 

@@ -26,7 +26,7 @@ from decycle.errors import (
     OracleLimitError,
 )
 from decycle.families import build_family, cycle_tree, random_even
-from decycle.multigraph import Multigraph
+from decycle.multigraph import DecyclingSet, Multigraph
 from oracles import oracle_acyclic, oracle_decycling
 
 
@@ -125,6 +125,46 @@ def test_exact_matches_independent_oracle(n, cycles, seed):
     # both scan the sorted vertices by size, then lexicographically
     assert witness.vertices == frozenset(oracle_witness)
     assert oracle_acyclic(*raw(g.delete_vertices(witness.vertices)))
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 10 vertices with parallel edges, odd degrees and isolated
+    vertices; deleting some leaves ids that are not 0..n-1."""
+    n = draw(st.integers(0, 10))
+    pairs = []
+    if n >= 2:
+        for u, step, times in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1), st.integers(1, n - 1), st.integers(1, 3)
+                ),
+                max_size=20,
+            )
+        ):
+            pairs += [(u, (u + step) % n)] * times
+    g = Multigraph.from_edges(n, pairs)
+    return g.delete_vertices(draw(st.sets(st.sampled_from(range(n))))) if n else g
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=multigraphs())
+def test_exact_matches_independent_oracle_on_multigraphs(g):
+    value, witness = exact_decycling_number(g)
+    oracle_value, oracle_witness = oracle_decycling(*raw(g))
+    assert (value, witness.vertices) == (oracle_value, frozenset(oracle_witness))
+    assert witness.certified
+
+
+def test_exact_pinned_cases():
+    # the witness an unpruned scan of every subset returns, in about 5 s
+    value, witness = exact_decycling_number(random_even(20, 8, seed=0))
+    assert (value, witness.vertices) == (10, {0, 1, 4, 8, 9, 10, 12, 13, 15, 19})
+    assert exact_decycling_number(Multigraph([], [])) == (
+        0,
+        DecyclingSet(frozenset(), certified=True),
+    )
+    assert exact_decycling_number(build_family("doubled_cycle", k=2))[0] == 1
 
 
 # -- analyze -------------------------------------------------------------------
