@@ -4,10 +4,19 @@ import json
 import pytest
 
 from conftest import refuse_graph_build
+from decycle import cli
 from decycle.cigraph import build_ci
 from decycle.cigraph import to_dot as ci_to_dot
 from decycle.cli import main
 from decycle.decompose import CycleDecomposition, enumerate_decompositions
+from decycle.errors import (
+    DisconnectedError,
+    InvalidDecompositionError,
+    InvariantError,
+    NotEvenError,
+    OracleLimitError,
+    ParseError,
+)
 from decycle.families import build_family
 from decycle.multigraph import parse_edge_list
 from decycle.multigraph import to_dot as graph_to_dot
@@ -381,3 +390,30 @@ def test_missing_file_reports_usage_error(capsys, tmp_path, argv):
     )
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+# every exception class a subcommand can raise, with its exit code and
+# stderr prefix
+ERROR_EXITS = [
+    (ParseError, 1, "error: "),
+    (InvalidDecompositionError, 1, "error: "),
+    (NotEvenError, 2, "error: "),
+    (DisconnectedError, 2, "error: "),
+    (OracleLimitError, 2, "error: "),
+    (InvariantError, 1, "internal error: "),
+    (ValueError, 1, "error: "),
+    (OSError, 1, "error: "),
+]
+
+
+@pytest.mark.parametrize(
+    "exc_type, code, prefix", ERROR_EXITS, ids=[e.__name__ for e, _, _ in ERROR_EXITS]
+)
+def test_error_exit_codes(capsys, monkeypatch, exc_type, code, prefix):
+    def fail(args):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "_cmd_exact", fail)
+    assert run(capsys, "exact", "--family", "cycle", "--k", "3") == (
+        code, "", f"{prefix}boom\n"
+    )

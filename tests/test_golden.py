@@ -57,3 +57,19 @@ def test_cli_output_matches_golden(capsys, name):
     assert code == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+# `decycle bench` over bench_spec.json: eight instances (an upper-case and
+# an integer id, lone cycles with NA edge bounds, a cycle over the oracle
+# limit, ids that need CSV quoting) under all three strategies
+BENCH_SPEC = GOLDEN / "bench_spec.json"
+
+
+def test_bench_output_matches_golden(capsys, tmp_path):
+    csv_path = tmp_path / "bench.csv"
+    assert main(["bench", str(BENCH_SPEC), "--output", str(csv_path)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "bench.txt").read_bytes()
+    assert csv_path.read_bytes() == (GOLDEN / "bench.csv").read_bytes()
+    assert main(["bench", str(BENCH_SPEC), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "bench_json.txt").read_bytes()
