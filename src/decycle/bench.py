@@ -4,16 +4,15 @@ lists and record how close each bound gets to the exact value."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import Optional
 
 from .decycling import analyze
 from .errors import ParseError
 from .families import build_family
 from .multigraph import Multigraph
-from .optimize import optimize_decomposition
+from .optimize import METHODS, optimize_decomposition
 
-STRATEGIES = ("greedy", "exhaustive", "local_search")
+STRATEGIES = ("greedy",) + METHODS
 
 CSV_COLUMNS = (
     "graph_id",
@@ -29,47 +28,12 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass
-class BenchRow:
-    graph_id: str
-    n_vertices: int
-    n_edges: int
-    strategy: str
-    ci_simple: bool
-    rank: int
-    edge_bound: Optional[int]
-    general: int
-    exact: Optional[int]
-
-    @property
-    def gap(self) -> Optional[int]:
-        if self.exact is None:
-            return None
-        return self.general - self.exact
-
-    def as_csv(self) -> list[str]:
-        def cell(v):
-            return "NA" if v is None else str(v)
-
-        return [
-            self.graph_id,
-            str(self.n_vertices),
-            str(self.n_edges),
-            self.strategy,
-            str(self.ci_simple).lower(),
-            str(self.rank),
-            cell(self.edge_bound),
-            cell(self.general),
-            cell(self.exact),
-            cell(self.gap),
-        ]
-
-
-def _pick_decomposition(g: Multigraph, strategy: str, seed: int, budget: int):
-    if strategy == "greedy":
-        return None  # analyze falls back to the greedy decomposition
-    result = optimize_decomposition(g, method=strategy, budget=budget, seed=seed)
-    return result.best_decomposition
+def _cell(value) -> str:
+    if value is None:
+        return "NA"
+    if isinstance(value, bool):
+        return str(value).lower()
+    return str(value)
 
 
 def run_instance(
@@ -79,20 +43,27 @@ def run_instance(
     seed: int = 0,
     budget: int = 200,
     oracle_limit: Optional[int] = None,
-) -> BenchRow:
-    d = _pick_decomposition(g, strategy, seed, budget)
+) -> dict:
+    """One bench row, keyed by ``CSV_COLUMNS``."""
+    d = None  # analyze falls back to the greedy decomposition
+    if strategy != "greedy":
+        d = optimize_decomposition(
+            g, method=strategy, budget=budget, seed=seed
+        ).best_decomposition
     report = analyze(g, d, seed=seed, oracle_limit=oracle_limit)
-    return BenchRow(
-        graph_id=graph_id,
-        n_vertices=report.n_vertices,
-        n_edges=report.n_edges,
-        strategy=strategy,
-        ci_simple=report.ci_simple,
-        rank=report.ci_rank,
-        edge_bound=report.edge_count_bound,
-        general=report.general_bound,
-        exact=report.exact,
-    )
+    exact = report.exact
+    return {
+        "graph_id": graph_id,
+        "n_vertices": report.n_vertices,
+        "n_edges": report.n_edges,
+        "strategy": strategy,
+        "ci_simple": report.ci_simple,
+        "rank": report.ci_rank,
+        "edge_bound": report.edge_count_bound,
+        "general": report.general_bound,
+        "exact": exact,
+        "gap": None if exact is None else report.general_bound - exact,
+    }
 
 
 def _spec_int(spec: dict, key: str, default: Optional[int]) -> Optional[int]:
@@ -125,7 +96,7 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
     seed = _spec_int(spec, "seed", 0)
     budget = _spec_int(spec, "budget", 200)
     oracle_limit = _spec_int(spec, "oracle_limit", None)
-    rows: list[BenchRow] = []
+    rows: list[dict] = []
     for idx, inst in enumerate(spec["instances"]):
         if not isinstance(inst, dict) or "family" not in inst:
             raise ParseError(
@@ -150,28 +121,28 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
             for row in rows:
-                writer.writerow(row.as_csv())
+                writer.writerow([_cell(row[c]) for c in CSV_COLUMNS])
     return summarize(rows)
 
 
-def summarize(rows: list[BenchRow]) -> dict:
+def summarize(rows: list[dict]) -> dict:
     """Per-strategy gap statistics plus global soundness counters."""
     summary: dict = {"strategies": {}, "rows": len(rows)}
-    for strategy in sorted({r.strategy for r in rows}):
-        mine = [r for r in rows if r.strategy == strategy]
-        gaps = [r.gap for r in mine if r.gap is not None]
+    for strategy in sorted({r["strategy"] for r in rows}):
+        mine = [r for r in rows if r["strategy"] == strategy]
+        gaps = [r["gap"] for r in mine if r["gap"] is not None]
         summary["strategies"][strategy] = {
             "rows": len(mine),
-            "exact_na": sum(1 for r in mine if r.exact is None),
+            "exact_na": sum(1 for r in mine if r["exact"] is None),
             "mean_gap": (sum(gaps) / len(gaps)) if gaps else None,
             "max_gap": max(gaps) if gaps else None,
         }
     summary["exact_over_general"] = sum(
-        1 for r in rows if r.exact is not None and r.exact > r.general
+        1 for r in rows if r["exact"] is not None and r["exact"] > r["general"]
     )
     summary["general_over_edge_bound"] = sum(
         1
         for r in rows
-        if r.edge_bound is not None and r.general > r.edge_bound
+        if r["edge_bound"] is not None and r["general"] > r["edge_bound"]
     )
     return summary

@@ -21,13 +21,13 @@ from .decycling import (
     exact_decycling_number,
     merge_reports,
 )
-from .errors import DecycleError, DomainError, InvalidDecompositionError, ParseError
-from .families import FAMILY_NAMES, build_family
+from .errors import DecycleError, DomainError, ParseError
+from .families import FAMILY_NAMES, build_family, family_params
 from .multigraph import Multigraph, is_connected, is_even, parse_edge_list, to_edge_list
 from .multigraph import to_dot as graph_to_dot
-from .cigraph import CIGraph, build_ci
+from .cigraph import CIGraph, _build_ci
 from .cigraph import to_dot as ci_to_dot
-from .optimize import optimize_decomposition
+from .optimize import METHODS, optimize_decomposition
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -56,28 +56,15 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-_FAMILY_FLAGS = {
-    "cycle": ("k",),
-    "doubled_cycle": ("k",),
-    "triangle_chain": ("k",),
-    "flower": ("petals", "core"),
-    "theta": ("lengths",),
-    "random_even": ("n", "cycles", "seed"),
-    "cycle_tree": ("nodes", "seed", "min_len", "max_len"),
-}
-
-
 def _load_graph(args) -> Multigraph:
     if (args.input is None) == (args.family is None):
         raise ParseError("give exactly one of an input file or --family")
     if args.family is not None:
-        params = {}
-        for name in _FAMILY_FLAGS[args.family]:
-            value = getattr(args, name, None)
-            if name == "lengths" and value is not None:
-                value = tuple(int(x) for x in str(value).split(","))
-            if value is not None:
-                params[name] = value
+        # every generator parameter is a flag of the same name
+        values = {name: getattr(args, name) for name in family_params(args.family)}
+        params = {k: v for k, v in values.items() if v is not None}
+        if "lengths" in params:
+            params["lengths"] = tuple(int(x) for x in params["lengths"].split(","))
         return build_family(args.family, **params)
     if args.input == "-":
         return parse_edge_list(sys.stdin.read())
@@ -97,8 +84,6 @@ def _dump_json(obj) -> None:
 def _fmt_bound(value: Optional[int], witness) -> str:
     if value is None:
         return "-"
-    if witness is None:
-        return str(value)
     verts = ", ".join(str(v) for v in witness.sorted_vertices())
     return f"{value:<4} witness {{{verts}}}"
 
@@ -170,7 +155,7 @@ def _cmd_analyze(args) -> int:
             _print_report(total)
     if args.dot:
         shown = total.decomposition
-        _write_dot(args.dot, g, None if shown is None else build_ci(g, shown))
+        _write_dot(args.dot, g, None if shown is None else _build_ci(shown))
     return 0
 
 
@@ -260,8 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("optimize", help="search for a minimum-rank decomposition")
     _add_input_args(po)
-    po.add_argument("--method", choices=("exhaustive", "local_search"),
-                    default="exhaustive")
+    po.add_argument("--method", choices=METHODS, default="exhaustive")
     po.add_argument("--budget", type=int, default=1000)
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--json", action="store_true")
@@ -300,20 +284,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
         return args.func(args)
-    except (ParseError, InvalidDecompositionError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_EXIT
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return DOMAIN_EXIT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
-    except DecycleError as exc:
+    except DecycleError as exc:  # not bad input: a bug
         sys.stderr.write(f"internal error: {exc}\n")
-        return USAGE_EXIT
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
 
 

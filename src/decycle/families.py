@@ -7,6 +7,7 @@ construction, and resamples until the union is connected.
 
 from __future__ import annotations
 
+import inspect
 import random
 
 from .errors import DomainError, ParseError
@@ -188,6 +189,11 @@ _BUILDERS = {
 FAMILY_NAMES = tuple(sorted(_BUILDERS))
 
 
+def family_params(family: str) -> tuple[str, ...]:
+    """Parameter names of a family's generator, in signature order."""
+    return tuple(inspect.signature(_BUILDERS[family]).parameters)
+
+
 def build_family(family: str, **params) -> Multigraph:
     try:
         builder = _BUILDERS[family]
@@ -196,8 +202,6 @@ def build_family(family: str, **params) -> Multigraph:
             f"unknown family {family!r}; choose from {', '.join(FAMILY_NAMES)}"
         ) from None
     try:
-        if family == "theta" and "lengths" in params:
-            params = dict(params, lengths=tuple(params["lengths"]))
         return builder(**params)
     except TypeError as exc:
         raise DomainError(f"bad parameters for family {family!r}: {exc}") from None

@@ -24,6 +24,8 @@ from .decycling import _construct_decycling
 from .errors import DisconnectedError, NotEvenError
 from .multigraph import Multigraph, is_connected, is_even
 
+METHODS = ("exhaustive", "local_search")
+
 
 @dataclass
 class OptimizationResult:
@@ -66,7 +68,7 @@ def optimize_decomposition(
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    if method not in ("exhaustive", "local_search"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not is_even(g):
         raise NotEvenError("graph is not even: some vertex has odd degree")

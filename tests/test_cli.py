@@ -17,8 +17,8 @@ from decycle.errors import (
     OracleLimitError,
     ParseError,
 )
-from decycle.families import build_family
-from decycle.multigraph import parse_edge_list
+from decycle.families import FAMILY_NAMES, build_family, family_params
+from decycle.multigraph import parse_edge_list, to_edge_list
 from decycle.multigraph import to_dot as graph_to_dot
 
 
@@ -262,6 +262,47 @@ def test_gen_round_trips(capsys, tmp_path):
     assert code == 0 and target.read_text().startswith("4 4\n")
 
 
+# one value for every generator parameter, none of them its default
+FAMILY_ARGS = {
+    "cycle": {"k": 5},
+    "doubled_cycle": {"k": 3},
+    "triangle_chain": {"k": 3},
+    "flower": {"petals": 2, "core": 4},
+    "theta": {"lengths": (1, 2, 3, 2)},
+    "random_even": {"n": 8, "cycles": 3, "seed": 5},
+    "cycle_tree": {"nodes": 6, "seed": 2, "min_len": 4, "max_len": 7},
+}
+
+
+def _family_argv(family):
+    argv = ["--family", family]
+    for name, value in FAMILY_ARGS[family].items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv += ["--" + name.replace("_", "-"), text]
+    return argv
+
+
+def test_family_args_cover_every_generator_parameter():
+    assert sorted(FAMILY_ARGS) == sorted(FAMILY_NAMES)
+    for family, params in FAMILY_ARGS.items():
+        assert tuple(params) == family_params(family)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_every_family_parameter_is_a_flag(family):
+    for command in ("analyze", "optimize", "exact", "gen"):
+        args = cli.build_parser().parse_args([command, *_family_argv(family)])
+        for name in family_params(family):
+            assert getattr(args, name) is not None
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_gen_passes_every_family_flag(capsys, family):
+    code, out, _ = run(capsys, "gen", *_family_argv(family))
+    assert code == 0
+    assert out == to_edge_list(build_family(family, **FAMILY_ARGS[family]))
+
+
 def test_gen_random_even_uses_seed(capsys):
     _, out_a, _ = run(capsys, "gen", "--family", "random_even",
                       "--n", "7", "--cycles", "3", "--seed", "5")
@@ -321,6 +362,13 @@ def test_bench_unknown_family_parameter_is_domain_exit(tmp_path, capsys):
     code, _, err = run(capsys, "bench", str(spec_path))
     assert code == 2
     assert err.startswith("error: bad parameters") and "max_tries" in err
+    # theta takes its lengths as given, so a JSON number fails inside it
+    spec_path.write_text(json.dumps(
+        {"instances": [{"family": "theta", "params": {"lengths": 5}}]}
+    ))
+    code, _, err = run(capsys, "bench", str(spec_path))
+    assert code == 2
+    assert err.startswith("error: bad parameters for family 'theta'")
 
 
 def test_decomposition_missing_key_is_usage_error(tmp_path, capsys):
