@@ -368,3 +368,50 @@ def test_shared_splits_match_fresh_neighbors_random(n, cycles, seed):
     g = random_even(n, cycles, seed=seed)
     if g.n_edges <= 10:
         assert_shared_splits_match_fresh_neighbors(g)
+
+
+# sha256 over the JSON of the full ordered move list from the greedy
+# decomposition (seed 0): each move's cycles as (vertices, edges). This
+# pins the moves themselves, their order and how each cycle is written,
+# so a faster neighbourhood must give back exactly the same list.
+MOVE_DIGESTS = {
+    "random_even(12,5,0)": (
+        612, "53ce409fa132aea5ed4a6b28370df20793abd2c24ffd86b3886593ae9875196e"
+    ),
+    "random_even(7,3,0)": (
+        8, "2e8e98e52a557b3f32c4ed50c81936d463a00b00cd241a9e59578fc50918637c"
+    ),
+    "random_even(7,3,1)": (
+        2, "d3c56c0cf278da5bf5af5cbc6bea14a441b1941a2c33e72d92d8411fd5ec15e5"
+    ),
+    "random_even(7,3,2)": (
+        10, "84dffb04c60471715d3445f9ed3d47d96b0267dbace593bd64c9f509df8ae3d5"
+    ),
+    "triangle_chain(4)": (
+        0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+    ),
+    "doubled_cycle(4)": (
+        8, "16787493097ea849fc474b367bfd661aa3ee8862f5da014fd2d773a82d10fb23"
+    ),
+    "theta": (
+        2, "fb255c59e8c93628ad3aa7d6b5e1e8e5fe16f3b90f244bf0c04f8ab291160b6b"
+    ),
+}
+
+
+def move_graph(name, theta_graph):
+    if name == "theta":
+        return theta_graph
+    if name.startswith("random_even"):
+        return random_even(*map(int, name[len("random_even("):-1].split(",")))
+    family, k = name[:-1].split("(")
+    return build_family(family, k=int(k))
+
+
+@pytest.mark.parametrize("name", sorted(MOVE_DIGESTS))
+def test_greedy_moves_are_pinned(name, theta_graph):
+    g = move_graph(name, theta_graph)
+    moves = _moves(g, decompose_greedy(g, 0), {})
+    listed = [[[list(c.vertices), list(c.edges)] for c in m.cycles] for m in moves]
+    digest = hashlib.sha256(json.dumps(listed).encode()).hexdigest()
+    assert (len(moves), digest) == MOVE_DIGESTS[name]
