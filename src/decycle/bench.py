@@ -70,10 +70,10 @@ def _spec_int(spec: dict, key: str, default: Optional[int]) -> Optional[int]:
     value = spec.get(key, default)
     if value is None and default is None:
         return None
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseError(f"bench spec '{key}' must be an integer") from None
+    # JSON true, 2.9 and "7" are not integers, and int() would take them
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(f"bench spec '{key}' must be an integer")
+    return value
 
 
 def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:

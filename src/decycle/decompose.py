@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .errors import InvalidDecompositionError, NotEvenError, ParseError
-from .multigraph import Multigraph, is_connected, is_even
+from .multigraph import Multigraph, is_even
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,10 +168,17 @@ def decompose_greedy(g: Multigraph, seed: int = 0) -> CycleDecomposition:
 
 
 # -- exhaustive enumeration by cycle peeling ---------------------------------
+#
+# The searches below keep their own stacks of iterators instead of
+# recursing through nested generator functions: a nested function that
+# calls itself is a reference cycle, which keeps every search alive until
+# the cyclic garbage collector runs.
+
+Adjacency = dict[int, list[tuple[int, int]]]  # vertex -> [(edge id, other end)]
 
 
 def _cycles_through(
-    adjacency: dict[int, list[tuple[int, int]]],
+    adjacency: Adjacency,
     uncovered: set[int],
     e: int,
     start: int,
@@ -180,66 +186,88 @@ def _cycles_through(
 ) -> Iterator[Cycle]:
     """Every simple cycle of the ``uncovered`` edges through edge ``e``,
     written from its endpoint ``start`` along ``e`` to ``first``."""
-    verts = [start]
+    verts = [start, first]
     eids = [e]
-    on_path = {start}
-
-    def extend(v: int) -> Iterator[Cycle]:
-        verts.append(v)
-        on_path.add(v)
-        for f, w in adjacency[v]:
+    on_path = {start, first}
+    branches = [iter(adjacency[first])]  # the untried edges at each path vertex
+    while branches:
+        for f, w in branches[-1]:
             if f not in uncovered or f == eids[-1]:
                 continue
             if w == start:
                 yield Cycle(tuple(verts), tuple(eids) + (f,))
             elif w not in on_path:
+                verts.append(w)
                 eids.append(f)
-                yield from extend(w)
-                eids.pop()
-        on_path.discard(v)
-        verts.pop()
+                on_path.add(w)
+                branches.append(iter(adjacency[w]))
+                break
+        else:
+            branches.pop()
+            on_path.discard(verts.pop())
+            eids.pop()
 
-    return extend(first)
+
+def _peel(
+    adjacency: Adjacency, endpoints, uncovered: set[int]
+) -> Iterator[list[Cycle]]:
+    """Every decomposition of the ``uncovered`` edges into simple cycles,
+    once each, as the list of its cycles (valid until the next one).
+
+    The lowest uncovered edge lies on exactly one cycle of any
+    decomposition, so branching over every cycle through it and peeling
+    on reaches each decomposition once. ``endpoints(e)`` gives an edge's
+    ends lower first; each cycle is written from the lower end of its
+    lowest edge, along that edge. ``uncovered`` is restored on exhaustion.
+    """
+    if not uncovered:
+        yield []
+        return
+    chosen: list[Cycle] = []
+
+    def branch() -> Iterator[Cycle]:
+        # every edge below e is covered, so e is the lowest edge of each
+        # cycle through it
+        e = min(uncovered)
+        return _cycles_through(adjacency, uncovered, e, *endpoints(e))
+
+    levels = [branch()]
+    while levels:
+        if len(chosen) == len(levels):  # put back the top level's last cycle
+            uncovered.update(chosen.pop().edges)
+        cyc = next(levels[-1], None)
+        if cyc is None:
+            levels.pop()
+            continue
+        uncovered.difference_update(cyc.edges)
+        chosen.append(cyc)
+        if uncovered:
+            levels.append(branch())
+        else:
+            yield chosen
 
 
 def enumerate_decompositions(g: Multigraph) -> Iterator[CycleDecomposition]:
     """Yield every cycle decomposition of ``g`` exactly once.
 
-    Peels cycles: the lowest uncovered edge lies on exactly one cycle of
-    any decomposition, so branching over every simple cycle of the
-    uncovered edges through it, and recursing on the rest, reaches each
-    decomposition once. Removing a cycle leaves an even graph, so no
-    branch dead-ends and the cost grows with the number of
-    decompositions. Each cycle starts at the lower endpoint of its lowest
-    edge id, along that edge.
+    Peels cycles through the lowest uncovered edge. Removing a cycle
+    leaves an even graph, so no branch dead-ends and the cost grows with
+    the number of decompositions. Each cycle starts at the lower endpoint
+    of its lowest edge id, along that edge.
     """
     if not is_even(g):
         raise NotEvenError("graph is not even")
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
+    adjacency: Adjacency = {v: [] for v in g.vertices}
     for eid, u, v in g.edges():
         adjacency[u].append((eid, v))
         adjacency[v].append((eid, u))
-    uncovered = set(g.edge_ids)
-    chosen: list[Cycle] = []
-
-    def rec() -> Iterator[CycleDecomposition]:
-        if not uncovered:
-            yield CycleDecomposition(_sorted_cycles(chosen))
-            return
-        # every edge below e is covered, so e is the lowest edge of each
-        # cycle through it; endpoints are stored lower first
-        e = min(uncovered)
-        for cyc in _cycles_through(adjacency, uncovered, e, *g.endpoints(e)):
-            uncovered.difference_update(cyc.edges)
-            chosen.append(cyc)
-            yield from rec()
-            chosen.pop()
-            uncovered.update(cyc.edges)
-
-    yield from rec()
+    for chosen in _peel(adjacency, g.endpoints, set(g.edge_ids)):
+        yield CycleDecomposition(_sorted_cycles(chosen))
 
 
 # -- local moves ------------------------------------------------------------
+
+KeyedCycle = tuple[tuple[int, ...], Cycle]  # (sorted edge ids, cycle)
 
 
 def neighbors(g: Multigraph, d: CycleDecomposition) -> list[CycleDecomposition]:
@@ -255,52 +283,151 @@ def neighbors(g: Multigraph, d: CycleDecomposition) -> list[CycleDecomposition]:
     return _moves(g, d, {})
 
 
+def _movable_subsets(
+    cycles: tuple[Cycle, ...],
+) -> Iterator[tuple[list[int], dict[int, int]]]:
+    """Each set of two or more of ``cycles`` whose edge union is connected
+    and has no vertex of degree over 4, reached exactly once.
+
+    Every move starts or ends with two cycles. Two simple cycles give
+    each vertex degree at most 4, and two vertex-disjoint ones decompose
+    only as themselves, so no other union has a move. The union is
+    connected iff the chosen cycles are connected in the CI graph (two
+    cycles are adjacent iff they share a vertex), and it has degree at
+    most 4 iff no vertex lies on three chosen cycles. Sets grow along CI
+    adjacency by ESU (Wernicke 2006): from each root, only cycles of
+    higher index join, each through the first chosen cycle it meets. The
+    degree filter is monotone, so a branch stops at the first cycle that
+    would break it.
+
+    Yields the chosen indices and the number of chosen cycles through
+    each vertex; both are live and change at the next step.
+    """
+    through: dict[int, list[int]] = {}
+    for i, c in enumerate(cycles):
+        for v in c.vertices:
+            through.setdefault(v, []).append(i)
+    adjacent = [
+        sorted({j for v in c.vertices for j in through[v]} - {i})
+        for i, c in enumerate(cycles)
+    ]
+    on = dict.fromkeys(through, 0)
+    near = [0] * len(cycles)  # chosen cycles each cycle is or meets
+
+    def mark(i: int, step: int) -> None:
+        for v in cycles[i].vertices:
+            on[v] += step
+        near[i] += step
+        for j in adjacent[i]:
+            near[j] += step
+
+    for root in range(len(cycles)):
+        mark(root, 1)
+        chosen = [root]
+        extensions = [[j for j in adjacent[root] if j > root]]
+        while extensions:
+            ext = extensions[-1]
+            if not ext:
+                extensions.pop()
+                mark(chosen.pop(), -1)
+                continue
+            w = ext.pop()
+            if any(on[v] == 2 for v in cycles[w].vertices):
+                continue
+            extensions.append(
+                ext + [j for j in adjacent[w] if j > root and not near[j]]
+            )
+            mark(w, 1)
+            chosen.append(w)
+            yield chosen, on
+
+
+def _resplits(
+    g: Multigraph, union: list[Cycle], shared: set[int]
+) -> tuple[tuple[KeyedCycle, ...], ...]:
+    """The decompositions of the edge union of ``union`` that the move rule
+    allows: every one from two cycles, only the two-cycle ones from three
+    or more. ``shared`` holds the vertices on two of the cycles."""
+    adjacency: Adjacency = {}
+    for c in union:
+        vs = c.vertices
+        for u, w, e in zip(vs, vs[1:] + vs[:1], c.edges):
+            adjacency.setdefault(u, []).append((e, w))
+            adjacency.setdefault(w, []).append((e, u))
+    uncovered = {e for c in union for e in c.edges}
+    if len(union) == 2:
+        return tuple(
+            tuple((tuple(sorted(c.edges)), c) for c in split)
+            for split in _peel(adjacency, g.endpoints, uncovered)
+        )
+    # Each cycle of a two-cycle split passes every shared (degree-4)
+    # vertex once, so the cycle through the lowest edge must meet them
+    # all, and what it leaves, where every vertex has degree 0 or 2, must
+    # be a single cycle.
+    found = []
+    e = min(uncovered)
+    for first in _cycles_through(adjacency, uncovered, e, *g.endpoints(e)):
+        if not shared.issubset(first.vertices):
+            continue
+        left = uncovered.difference(first.edges)
+        low = min(left)
+        start, v = g.endpoints(low)
+        verts, eids = [start], [low]
+        while v != start and len(eids) < len(left):
+            verts.append(v)
+            for f, w in adjacency[v]:
+                if f in left and f != eids[-1]:
+                    break
+            eids.append(f)
+            v = w
+        if v == start and len(eids) == len(left):
+            second = Cycle(tuple(verts), tuple(eids))
+            found.append(
+                (
+                    (tuple(sorted(first.edges)), first),
+                    (tuple(sorted(eids)), second),
+                )
+            )
+    return tuple(found)
+
+
 def _moves(
     g: Multigraph,
     d: CycleDecomposition,
-    splits: dict[tuple[frozenset[int], bool], tuple[CycleDecomposition, ...]],
+    splits: dict[tuple[frozenset[int], bool], tuple[tuple[KeyedCycle, ...], ...]],
 ) -> list[CycleDecomposition]:
     """``neighbors`` of a valid ``d``, re-splitting each cycle union once.
 
     ``splits`` maps a union's edge ids, and whether it was reached from
     exactly two cycles, to the decompositions of it the move rule allows
-    from there: every one from two cycles, only the two-cycle ones from
-    three or more. A caller may share it across steps, since a re-split
-    depends only on that key.
+    from there, each cycle with its sorted edge ids. A caller may share
+    it across steps, since a re-split depends only on that key.
     """
-    found: dict[tuple[tuple[int, ...], ...], CycleDecomposition] = {}
-    base_key = d.sort_key
     cycles = d.cycles
-    for size in range(2, len(cycles) + 1):
-        for subset in combinations(range(len(cycles)), size):
-            eids = frozenset(eid for i in subset for eid in cycles[i].edges)
-            memo_key = (eids, size == 2)
-            resplits = splits.get(memo_key)
-            if resplits is None:
-                union = g.restricted_to_edges(eids)
-                # Every move starts or ends with two cycles. Two simple
-                # cycles give each vertex degree at most 4, and two
-                # vertex-disjoint ones decompose only as themselves. So a
-                # union with a vertex of degree > 4, or in two parts, has
-                # no move.
-                movable = all(
-                    union.degree(v) <= 4 for v in union.vertices
-                ) and is_connected(union)
-                resplits = splits[memo_key] = (
-                    tuple(
-                        split
-                        for split in enumerate_decompositions(union)
-                        if min(size, len(split.cycles)) == 2
-                    )
-                    if movable
-                    else ()
-                )
-            if not resplits:
-                continue
-            rest = tuple(c for i, c in enumerate(cycles) if i not in subset)
-            for split in resplits:
-                nd = CycleDecomposition(_sorted_cycles(rest + split.cycles))
-                key = nd.sort_key
-                if key != base_key:
-                    found.setdefault(key, nd)
-    return [found[k] for k in sorted(found)]
+    keyed = [(tuple(sorted(c.edges)), c) for c in cycles]
+    base_key = tuple(sorted(k for k, _ in keyed))
+    found: dict[tuple[tuple[int, ...], ...], list[KeyedCycle]] = {}
+    for chosen, on in _movable_subsets(cycles):
+        # A chosen cycle meeting the others in one vertex is cut off there,
+        # so it is a cycle of every decomposition of the union: the only
+        # one of a pair, and none of a two-cycle split of three or more.
+        if any(sum(on[v] == 2 for v in cycles[i].vertices) < 2 for i in chosen):
+            continue
+        eids = frozenset(e for i in chosen for e in cycles[i].edges)
+        memo_key = (eids, len(chosen) == 2)
+        resplits = splits.get(memo_key)
+        if resplits is None:
+            union = [cycles[i] for i in chosen]
+            shared = {v for c in union for v in c.vertices if on[v] == 2}
+            resplits = splits[memo_key] = _resplits(g, union, shared)
+        if not resplits:
+            continue
+        rest = tuple(kc for i, kc in enumerate(keyed) if i not in chosen)
+        for split in resplits:
+            merged = sorted(rest + split)
+            key = tuple(k for k, _ in merged)
+            if key != base_key:
+                found[key] = merged
+    return [
+        CycleDecomposition(tuple(c for _, c in found[k])) for k in sorted(found)
+    ]

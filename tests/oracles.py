@@ -3,10 +3,14 @@
 Everything here works on raw data (vertex lists, endpoint pairs) and
 avoids the package's own data structures and algorithms: acyclicity is
 decided by leaf peeling instead of union-find, matchings and covers by
-exhaustive search.
+exhaustive search. ``oracle_movable_subsets`` is the exception: it keeps
+the subset filter local search used before it grew subsets along the CI
+graph, on the package's ``Multigraph``.
 """
 
 from itertools import combinations
+
+from decycle.multigraph import is_connected
 
 
 def oracle_acyclic(vertices, edges) -> bool:
@@ -203,3 +207,20 @@ def oracle_neighbor_keys(edges, key) -> set:
         for other in _cycle_partitions(edges, frozenset(range(len(edges))))
         if min(len(key - other), len(other - key)) == 2
     }
+
+
+def oracle_movable_subsets(g, cycles) -> list:
+    """Index tuples, in ``combinations`` order, of every set of two or more
+    of ``cycles`` whose edge union has no vertex of degree over 4 and is
+    connected: each of the 2^|d| - |d| - 1 sets is tested in turn."""
+    found = []
+    for size in range(2, len(cycles) + 1):
+        for subset in combinations(range(len(cycles)), size):
+            union = g.restricted_to_edges(
+                eid for i in subset for eid in cycles[i].edges
+            )
+            if all(union.degree(v) <= 4 for v in union.vertices) and is_connected(
+                union
+            ):
+                found.append(subset)
+    return found

@@ -406,6 +406,12 @@ def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
         ({"instances": [{"family": "cycle", "params": 5}]}, "'params'"),
         ({"instances": [instance], "strategies": 5}, "'strategies'"),
         ({"instances": [instance], "oracle_limit": "x"}, "'oracle_limit'"),
+        ({"instances": [instance], "seed": 2.9}, "'seed' must be an integer"),
+        ({"instances": [instance], "budget": "7"}, "'budget' must be an integer"),
+        (
+            {"instances": [instance], "oracle_limit": True},
+            "'oracle_limit' must be an integer",
+        ),
     ):
         spec_path.write_text(json.dumps(bad))
         code, _, err = run(capsys, "bench", str(spec_path))

@@ -11,6 +11,7 @@ from decycle.cigraph import build_ci, is_simple
 from decycle.decompose import (
     Cycle,
     CycleDecomposition,
+    _movable_subsets,
     _moves,
     decompose_greedy,
     decomposition_violations,
@@ -20,7 +21,11 @@ from decycle.decompose import (
 from decycle.errors import InvalidDecompositionError, NotEvenError
 from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
-from oracles import oracle_count_decompositions, oracle_neighbor_keys
+from oracles import (
+    oracle_count_decompositions,
+    oracle_movable_subsets,
+    oracle_neighbor_keys,
+)
 
 
 def key(d):
@@ -346,6 +351,20 @@ def test_neighbors_match_partition_oracle_random(n, cycles, seed):
         assert_neighbors_match_partition_oracle(g, limit=20)
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(6, 12), cycles=st.integers(3, 5), seed=st.integers(0, 50_000))
+def test_moves_are_valid_and_follow_the_rule_random(n, cycles, seed):
+    # graphs past the partition oracle's reach: each move is a valid
+    # decomposition, two cycles away from d one way or the other
+    g = random_even(n, cycles, seed=seed)
+    d = decompose_greedy(g, seed)
+    if len(d) > 12:
+        return
+    for nd in _moves(g, d, {}):
+        assert not decomposition_violations(g, nd)
+        assert min(len(key(d) - key(nd)), len(key(nd) - key(d))) == 2
+
+
 def assert_shared_splits_match_fresh_neighbors(g, limit=20):
     """One ``splits`` memo over many decompositions gives the same moves,
     whole ``Cycle`` tuples in order, as a fresh ``neighbors`` call."""
@@ -415,3 +434,38 @@ def test_greedy_moves_are_pinned(name, theta_graph):
     listed = [[[list(c.vertices), list(c.edges)] for c in m.cycles] for m in moves]
     digest = hashlib.sha256(json.dumps(listed).encode()).hexdigest()
     assert (len(moves), digest) == MOVE_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build_family("cycle_tree", nodes=16, seed=0),
+        build_family("triangle_chain", k=16),
+    ],
+    ids=["cycle_tree(16)", "triangle_chain(16)"],
+)
+def test_sixteen_cycles_without_moves_are_fast(g):
+    # 2^16 cycle subsets, none of which can re-split: a loop over every
+    # subset takes seconds here, growing only movable ones milliseconds
+    d = decompose_greedy(g, 0)
+    assert len(d) == 16
+    assert _moves(g, d, {}) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 10),
+    cycles=st.integers(1, 6),
+    seed=st.integers(0, 50_000),
+    pick=st.integers(0, 3),
+)
+def test_movable_subsets_match_oracle_random(n, cycles, seed, pick):
+    g = random_even(n, cycles, seed=seed)
+    d = next(
+        islice(enumerate_decompositions(g), pick, None), decompose_greedy(g, seed)
+    )
+    if len(d) > 11:
+        return
+    grown = [tuple(sorted(chosen)) for chosen, _ in _movable_subsets(d.cycles)]
+    assert len(set(grown)) == len(grown)  # each subset reached once
+    assert sorted(grown) == sorted(oracle_movable_subsets(g, d.cycles))

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from decycle.cigraph import build_ci, cycle_rank
 from decycle.errors import NotEvenError
 from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
-from decycle.optimize import optimize_decomposition
+from decycle.optimize import METHODS, optimize_decomposition
 
 
 def test_exhaustive_doubled_triangle(doubled_triangle):
@@ -102,3 +103,19 @@ def test_objective_invariant_under_relabeling(theta_graph, doubled_triangle):
             )
             res = optimize_decomposition(permuted, method="exhaustive")
             assert res.best_rank == base
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_optimize_leaves_no_reference_cycles(method):
+    # A search that leaves reference cycles keeps each of its states alive
+    # until the cyclic collector runs, which shows as peak memory.
+    g = random_even(7, 3, seed=0)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        optimize_decomposition(g, method=method, budget=200)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
