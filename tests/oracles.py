@@ -3,9 +3,10 @@
 Everything here works on raw data (vertex lists, endpoint pairs) and
 avoids the package's own data structures and algorithms: acyclicity is
 decided by leaf peeling instead of union-find, matchings and covers by
-exhaustive search. ``oracle_movable_subsets`` is the exception: it keeps
-the subset filter local search used before it grew subsets along the CI
-graph, on the package's ``Multigraph``.
+exhaustive search. ``oracle_movable_subsets`` is the exception: it tests
+every cycle subset on the package's ``Multigraph`` (``restricted_to_edges``
+and ``is_connected``), as the reference for the subset growth in
+``decompose``.
 """
 
 from itertools import combinations
@@ -219,8 +220,7 @@ def oracle_movable_subsets(g, cycles) -> list:
             union = g.restricted_to_edges(
                 eid for i in subset for eid in cycles[i].edges
             )
-            if all(union.degree(v) <= 4 for v in union.vertices) and is_connected(
-                union
-            ):
+            low_degree = all(union.degree(v) <= 4 for v in union.vertices)
+            if low_degree and is_connected(union):
                 found.append(subset)
     return found

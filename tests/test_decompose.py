@@ -444,7 +444,7 @@ def test_greedy_moves_are_pinned(name, theta_graph):
     ],
     ids=["cycle_tree(16)", "triangle_chain(16)"],
 )
-def test_sixteen_cycles_without_moves_are_fast(g):
+def test_no_moves_among_sixteen_cycles(g):
     # 2^16 cycle subsets, none of which can re-split: a loop over every
     # subset takes seconds here, growing only movable ones milliseconds
     d = decompose_greedy(g, 0)
