@@ -59,10 +59,9 @@ class CycleDecomposition:
         try:
             same_length = len(verts) == len(eids)
             cycles = tuple(
-                Cycle(tuple(int(v) for v in vs), tuple(int(e) for e in es))
-                for vs, es in zip(verts, eids)
+                Cycle(_json_ints(vs), _json_ints(es)) for vs, es in zip(verts, eids)
             )
-        except (TypeError, ValueError):
+        except TypeError:
             raise ParseError(
                 "decomposition 'cycles' and 'edge_ids' must be lists of integer lists"
             ) from None
@@ -71,6 +70,14 @@ class CycleDecomposition:
                 "cycles and edge_ids lists differ in length"
             )
         return cls(cycles)
+
+
+def _json_ints(values) -> tuple[int, ...]:
+    out = tuple(values)
+    # JSON true, 1.9 and "01" are not integers, and int() would take them
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in out):
+        raise TypeError
+    return out
 
 
 def _sorted_cycles(cycles) -> tuple[Cycle, ...]:
@@ -280,7 +287,7 @@ def neighbors(g: Multigraph, d: CycleDecomposition) -> list[CycleDecomposition]:
     symmetric.
     """
     _require_valid(g, d)
-    return _moves(g, d, {})
+    return [nd for _, nd in _moves(g, d, {})]
 
 
 def _movable_subsets(
@@ -363,7 +370,8 @@ def _resplits(
     # Each cycle of a two-cycle split passes every shared (degree-4)
     # vertex once, so the cycle through the lowest edge must meet them
     # all, and what it leaves, where every vertex has degree 0 or 2, must
-    # be a single cycle.
+    # be a single cycle: the one through its lowest edge, if that takes
+    # every edge left.
     found = []
     e = min(uncovered)
     for first in _cycles_through(adjacency, uncovered, e, *g.endpoints(e)):
@@ -371,23 +379,11 @@ def _resplits(
             continue
         left = uncovered.difference(first.edges)
         low = min(left)
-        start, v = g.endpoints(low)
-        verts, eids = [start], [low]
-        while v != start and len(eids) < len(left):
-            verts.append(v)
-            for f, w in adjacency[v]:
-                if f in left and f != eids[-1]:
-                    break
-            eids.append(f)
-            v = w
-        if v == start and len(eids) == len(left):
-            second = Cycle(tuple(verts), tuple(eids))
-            found.append(
-                (
-                    (tuple(sorted(first.edges)), first),
-                    (tuple(sorted(eids)), second),
+        for second in _cycles_through(adjacency, left, low, *g.endpoints(low)):
+            if len(second) == len(left):
+                found.append(
+                    tuple((tuple(sorted(c.edges)), c) for c in (first, second))
                 )
-            )
     return tuple(found)
 
 
@@ -395,8 +391,9 @@ def _moves(
     g: Multigraph,
     d: CycleDecomposition,
     splits: dict[tuple[frozenset[int], bool], tuple[tuple[KeyedCycle, ...], ...]],
-) -> list[CycleDecomposition]:
-    """``neighbors`` of a valid ``d``, re-splitting each cycle union once.
+) -> list[tuple[tuple[tuple[int, ...], ...], CycleDecomposition]]:
+    """``neighbors`` of a valid ``d`` with their ``sort_key``s, in key
+    order, re-splitting each cycle union once.
 
     ``splits`` maps a union's edge ids, and whether it was reached from
     exactly two cycles, to the decompositions of it the move rule allows
@@ -429,5 +426,6 @@ def _moves(
             if key != base_key:
                 found[key] = merged
     return [
-        CycleDecomposition(tuple(c for _, c in found[k])) for k in sorted(found)
+        (k, CycleDecomposition(tuple(c for _, c in found[k])))
+        for k in sorted(found)
     ]

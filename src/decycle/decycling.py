@@ -127,10 +127,11 @@ def _construct_decycling(
 def decycle_tree_ci(
     g: Multigraph, d: CycleDecomposition, ci: CIGraph
 ) -> DecyclingSet:
-    """Certified decycling set of forest-cover size; requires a forest CI."""
+    """Certified decycling set of forest-cover size; requires a forest CI
+    and, like ``decycle_general``, a valid ``d``."""
     if cycle_rank(ci) != 0:
         raise InvalidDecompositionError("CI graph is cyclic; use decycle_general")
-    return _construct_decycling(g, d, ci)[0]
+    return decycle_general(g, d, ci)
 
 
 def decycle_general(
@@ -186,31 +187,30 @@ def exact_decycling_number(
         list(accumulate(sorted(deg[i:], reverse=True), initial=0))
         for i in range(n + 1)
     ]
-    chosen: list[int] = []
-
-    def walk(
-        start: int, left: int, removed: int, need: int
-    ) -> Optional[frozenset[int]]:
-        if not left:
-            if removed < need:
-                return None
-            subset = frozenset(verts[i] for i in chosen)
-            return subset if is_acyclic(g, subset) else None
-        for i in range(start, n - left + 1):
-            if removed + reach[i][left] < need:
-                return None
-            gain = deg[i] - sum(mult[i][j] for j in chosen)
-            chosen.append(i)
-            found = walk(i + 1, left - 1, removed + gain, need)
-            chosen.pop()
-            if found is not None:
-                return found
-        return None
-
     for k in range(n + 1):
-        found = walk(0, k, 0, m - max(n - k - 1, 0))
-        if found is not None:
-            return k, DecyclingSet(found, certified=True)
+        need = m - max(n - k - 1, 0)
+        # an explicit stack: a nested function that calls itself is a
+        # reference cycle, which lives until the cyclic collector runs
+        chosen: list[int] = []
+        removed = [0]  # edges removed by each prefix of chosen
+        i = 0  # the next candidate for the next pick
+        while True:
+            left = k - len(chosen)
+            if left and i <= n - left and removed[-1] + reach[i][left] >= need:
+                removed.append(
+                    removed[-1] + deg[i] - sum(mult[i][j] for j in chosen)
+                )
+                chosen.append(i)
+                i += 1
+                continue
+            if not left and removed[-1] >= need:
+                subset = frozenset(verts[j] for j in chosen)
+                if is_acyclic(g, subset):
+                    return k, DecyclingSet(subset, certified=True)
+            if not chosen:
+                break
+            removed.pop()
+            i = chosen.pop() + 1
     raise InvariantError("subset search exhausted without an acyclic remainder")
 
 
@@ -353,18 +353,18 @@ def analyze_components(
         raise NotEvenError("graph is not even: some vertex has odd degree")
     if d is not None:
         _require_valid(g, d)
-    out = []
     # a graph with no vertex has no component but is still one part
-    for part in g.components() or [g]:
-        if d is None:
-            part_d = decompose_greedy(part, seed)
-        else:
-            eids = set(part.edge_ids)
-            part_d = CycleDecomposition(
-                tuple(c for c in d.cycles if set(c.edges) <= eids)
-            )
-        out.append(_report(part, part_d, oracle_limit))
-    return out
+    parts = g.components() or [g]
+    if d is None:
+        part_ds = [decompose_greedy(part, seed) for part in parts]
+    else:
+        # a cycle lies in the part of any of its edges
+        part_of = {e: i for i, part in enumerate(parts) for e in part.edge_ids}
+        cycles: list[list] = [[] for _ in parts]
+        for c in d.cycles:
+            cycles[part_of[c.edges[0]]].append(c)
+        part_ds = [CycleDecomposition(tuple(cs)) for cs in cycles]
+    return [_report(p, pd, oracle_limit) for p, pd in zip(parts, part_ds)]
 
 
 def merge_reports(reports: list[BoundReport]) -> BoundReport:

@@ -47,11 +47,10 @@ class OptimizationResult:
         }
 
 
-def _evaluate(g: Multigraph, d: CycleDecomposition):
-    """Objective key of a decomposition this module generated."""
+def _objective(g: Multigraph, d: CycleDecomposition) -> tuple[int, int]:
+    """(cycle rank, general bound) of a decomposition this module generated."""
     ci = _build_ci(d)
-    bound = len(_construct_decycling(g, d, ci)[0])
-    return (cycle_rank(ci), bound, d.sort_key)
+    return cycle_rank(ci), len(_construct_decycling(g, d, ci)[0])
 
 
 def optimize_decomposition(
@@ -87,18 +86,17 @@ def optimize_decomposition(
 
     if method == "exhaustive":
         for d in enumerate_decompositions(g):
-            consider(d, _evaluate(g, d))
+            consider(d, (*_objective(g, d), d.sort_key))
     else:
         # Local search meets the same decompositions and cycle unions
         # over and over: evaluate and re-split each one once per call.
-        # A decomposition's edge sets fix its key, and sort_key lists them.
+        # A move comes with its sort_key, which indexes the memo.
         keys: dict[tuple[tuple[int, ...], ...], tuple] = {}
         splits: dict = {}
 
-        def key_of(d: CycleDecomposition) -> tuple:
-            sk = d.sort_key
+        def key_of(sk: tuple, d: CycleDecomposition) -> tuple:
             if sk not in keys:
-                keys[sk] = _evaluate(g, d)
+                keys[sk] = (*_objective(g, d), sk)
             return keys[sk]
 
         rng = random.Random(seed)
@@ -106,28 +104,20 @@ def optimize_decomposition(
         while evaluations < budget:
             current = decompose_greedy(g, seed + restart)
             restart += 1
-            current_key = consider(current, key_of(current))
+            current_key = consider(current, key_of(current.sort_key, current))
             escaped = False
             while evaluations < budget:
-                moves = _moves(g, current, splits)
-                if not moves:
+                # sort keys are unique among the moves, so min never
+                # compares two decompositions
+                moves = _moves(g, current, splits)[: budget - evaluations]
+                tried = [(consider(nd, key_of(sk, nd)), nd) for sk, nd in moves]
+                if not tried:
                     break
-                move_keys = []
-                for nd in moves:
-                    if evaluations >= budget:
-                        break
-                    move_keys.append((consider(nd, key_of(nd)), nd))
-                improving = [
-                    (key, nd)
-                    for key, nd in move_keys
-                    if key[:2] < current_key[:2]
-                ]
-                if improving:
-                    current_key, current = min(improving)
-                elif move_keys and not escaped:
-                    current_key, current = move_keys[
-                        rng.randrange(len(move_keys))
-                    ]
+                step = min(tried)
+                if step[0][:2] < current_key[:2]:
+                    current_key, current = step
+                elif not escaped:
+                    current_key, current = tried[rng.randrange(len(tried))]
                     escaped = True
                 else:
                     break

@@ -394,6 +394,27 @@ def test_decomposition_missing_key_is_usage_error(tmp_path, capsys):
         assert err.startswith("error:") and "integer lists" in err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # each string read as its digits: the digons 0-1, 1-2 and 0-2
+        {"cycles": ["01", "12", "02"], "edge_ids": ["01", "23", "45"]},
+        {"cycles": [[0, 1.9], [1, 2], [0, 2]], "edge_ids": [[0, 1], [2, 3], [4, 5]]},
+        {"cycles": [[0, True], [1, 2], [0, 2]], "edge_ids": [[0, 1], [2, 3], [4, 5]]},
+    ],
+    ids=["strings", "float", "bool"],
+)
+def test_decomposition_ids_must_be_json_integers(tmp_path, capsys, bad):
+    p = tmp_path / "digons.json"
+    p.write_text(json.dumps(bad))
+    code, _, err = run(
+        capsys,
+        "analyze", "--family", "doubled_cycle", "--k", "3", "--decomposition", str(p),
+    )
+    assert code == 1
+    assert err.startswith("error:") and "integer lists" in err
+
+
 def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
     spec_path = tmp_path / "bench.json"
     spec_path.write_text(json.dumps({"instances": [{"id": "x"}]}))

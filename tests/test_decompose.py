@@ -360,7 +360,8 @@ def test_moves_are_valid_and_follow_the_rule_random(n, cycles, seed):
     d = decompose_greedy(g, seed)
     if len(d) > 12:
         return
-    for nd in _moves(g, d, {}):
+    for sk, nd in _moves(g, d, {}):
+        assert sk == nd.sort_key
         assert not decomposition_violations(g, nd)
         assert min(len(key(d) - key(nd)), len(key(nd) - key(d))) == 2
 
@@ -371,7 +372,7 @@ def assert_shared_splits_match_fresh_neighbors(g, limit=20):
     edges = [(u, v) for _, u, v in g.edges()]
     splits = {}
     for d in islice(enumerate_decompositions(g), limit):
-        moves = _moves(g, d, splits)
+        moves = [nd for _, nd in _moves(g, d, splits)]
         assert moves == neighbors(g, d)
         assert keys(moves) == oracle_neighbor_keys(edges, key(d))
 
@@ -430,7 +431,7 @@ def move_graph(name, theta_graph):
 @pytest.mark.parametrize("name", sorted(MOVE_DIGESTS))
 def test_greedy_moves_are_pinned(name, theta_graph):
     g = move_graph(name, theta_graph)
-    moves = _moves(g, decompose_greedy(g, 0), {})
+    moves = [nd for _, nd in _moves(g, decompose_greedy(g, 0), {})]
     listed = [[[list(c.vertices), list(c.edges)] for c in m.cycles] for m in moves]
     digest = hashlib.sha256(json.dumps(listed).encode()).hexdigest()
     assert (len(moves), digest) == MOVE_DIGESTS[name]

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import raw
-from decycle.cigraph import build_ci, cycle_rank, msf
+from decycle.cigraph import CIGraph, build_ci, cycle_rank, msf
 from decycle.decompose import (
     CycleDecomposition,
     decompose_greedy,
@@ -70,6 +70,12 @@ def test_decycle_tree_ci_rejects_cyclic_ci(doubled_triangle):
     assert cycle_rank(ci) != 0
     with pytest.raises(InvalidDecompositionError, match="use decycle_general"):
         decycle_tree_ci(doubled_triangle, d, ci)
+
+
+def test_decycle_tree_ci_rejects_invalid_decomposition(theta_graph):
+    # the empty decomposition has a forest CI but covers no edge
+    with pytest.raises(InvalidDecompositionError, match="not covered"):
+        decycle_tree_ci(theta_graph, CycleDecomposition(()), CIGraph(0, ()))
 
 
 def test_decycle_general_doubled_triangle(doubled_triangle):
@@ -225,6 +231,26 @@ def test_analyze_components_and_merge():
     assert total.witness_sets["exact"].certified
     assert len(total.witness_sets["general"].vertices) == 2
 
+
+def test_analyze_components_splits_a_given_decomposition():
+    # three graphs with interleaved vertex and edge ids, their greedy
+    # decompositions listed last part first
+    graphs = [
+        build_family("theta", lengths=(1, 2, 2, 2)),
+        build_family("doubled_cycle", k=3),
+        random_even(7, 3, seed=0),
+    ]
+    vertices, edges = [], []
+    for t, h in enumerate(graphs):
+        vertices += [3 * v + t for v in h.vertices]
+        edges += [(3 * e + t, (3 * u + t, 3 * v + t)) for e, u, v in h.edges()]
+    g = Multigraph(vertices, edges)
+    greedy = analyze_components(g, seed=4)
+    d = CycleDecomposition(
+        tuple(c for r in reversed(greedy) for c in r.decomposition.cycles)
+    )
+    assert len(greedy) == 3
+    assert analyze_components(g, d, seed=4) == greedy
 
 
 @pytest.mark.parametrize("vertices", [[], [0]])

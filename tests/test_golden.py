@@ -5,6 +5,7 @@ README promises the same output for the same flags and seeds, so a
 change to these files is a change to that promise.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,29 @@ def test_bench_output_matches_golden(capsys, tmp_path):
     assert main(["bench", str(BENCH_SPEC), "--json"]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / "bench_json.txt").read_bytes()
+
+
+# the tightness table: greedy `analyze` over 193 seeded graphs (random_even
+# n 6-12, cycles 2-5, seeds 0-5; cycle_tree 3, 5 and 8 nodes, seeds 0-3; a
+# flower; triangle_chain and doubled_cycle 2-7)
+TIGHTNESS_SPEC = GOLDEN / "tightness_spec.json"
+
+
+def test_tightness_table_matches_golden(capsys, tmp_path):
+    csv_path = tmp_path / "tightness.csv"
+    assert main(["bench", str(TIGHTNESS_SPEC), "--output", str(csv_path)]) == 0
+    capsys.readouterr()
+    assert csv_path.read_bytes() == (GOLDEN / "tightness.csv").read_bytes()
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 193
+    for row in rows:
+        if row["exact"] == "NA":
+            assert int(row["n_vertices"]) > 20  # over the oracle limit
+            continue
+        exact = int(row["exact"])
+        assert exact <= int(row["general"])
+        if row["edge_bound"] != "NA":
+            assert exact <= int(row["edge_bound"])
+        if row["rank"] == "0":  # a forest CI: the bound is the exact value
+            assert int(row["general"]) == exact

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decycle import optimize
 from decycle.cigraph import build_ci, cycle_rank
+from decycle.decompose import CycleDecomposition, decompose_greedy
+from decycle.decycling import analyze, exact_decycling_number
 from decycle.errors import NotEvenError
 from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
@@ -105,17 +108,50 @@ def test_objective_invariant_under_relabeling(theta_graph, doubled_triangle):
             assert res.best_rank == base
 
 
-@pytest.mark.parametrize("method", METHODS)
-def test_optimize_leaves_no_reference_cycles(method):
+def assert_no_cyclic_garbage(run):
     # A search that leaves reference cycles keeps each of its states alive
     # until the cyclic collector runs, which shows as peak memory.
-    g = random_even(7, 3, seed=0)
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        optimize_decomposition(g, method=method, budget=200)
+        run()
         assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_optimize_leaves_no_reference_cycles(method):
+    g = random_even(7, 3, seed=0)
+    assert_no_cyclic_garbage(
+        lambda: optimize_decomposition(g, method=method, budget=200)
+    )
+
+
+@pytest.mark.parametrize("run", [analyze, exact_decycling_number], ids=["analyze", "exact"])
+def test_bounds_leave_no_reference_cycles(run):
+    g = random_even(12, 5, seed=0)
+    assert_no_cyclic_garbage(lambda: run(g))
+
+
+def test_local_search_keys_each_greedy_start_once(monkeypatch):
+    # moves come with their sort keys, so only a greedy start is keyed
+    counts = {"sort_key": 0, "greedy": 0}
+    sort_key = CycleDecomposition.sort_key.fget
+
+    def counted_sort_key(d):
+        counts["sort_key"] += 1
+        return sort_key(d)
+
+    def counted_greedy(g, seed=0):
+        counts["greedy"] += 1
+        return decompose_greedy(g, seed)
+
+    monkeypatch.setattr(CycleDecomposition, "sort_key", property(counted_sort_key))
+    monkeypatch.setattr(optimize, "decompose_greedy", counted_greedy)
+    g = random_even(7, 3, seed=12)
+    res = optimize_decomposition(g, method="local_search", budget=200)
+    assert res.evaluations == 200 and counts["greedy"] > 1
+    assert counts["sort_key"] == counts["greedy"]
