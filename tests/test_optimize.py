@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import random
 
 import pytest
@@ -155,3 +157,41 @@ def test_local_search_keys_each_greedy_start_once(monkeypatch):
     res = optimize_decomposition(g, method="local_search", budget=200)
     assert res.evaluations == 200 and counts["greedy"] > 1
     assert counts["sort_key"] == counts["greedy"]
+
+
+def optimizer_sweep():
+    """Every random_even with n 4-9, 1-4 cycles and seeds 0-1, then
+    triangle_chain 2-5, doubled_cycle 2-4 and cycle_tree 2-4."""
+    for n in range(4, 10):
+        for cycles in range(1, 5):
+            for seed in range(2):
+                yield random_even(n, cycles, seed=seed)
+    yield from (build_family("triangle_chain", k=k) for k in range(2, 6))
+    yield from (build_family("doubled_cycle", k=k) for k in range(2, 5))
+    yield from (build_family("cycle_tree", nodes=k) for k in range(2, 5))
+
+
+# sha256 over the JSON of every result of ``optimizer_sweep``: local
+# search at budgets 7, 60 and 200 and seeds 0 and 3, then exhaustive
+# search where the graph has at most 14 edges. It pins the winner, its
+# rank, bound and CI, and the evaluation count, so a faster objective
+# must pick exactly the same decompositions.
+OPTIMIZER_SWEEP_DIGEST = (
+    "9867e0f0e7aafcce0cab6ebe2210e49d13e7284a344e4d52955a54d36ca1e14a"
+)
+
+
+def test_optimizer_output_is_pinned():
+    h = hashlib.sha256()
+    for g in optimizer_sweep():
+        runs = [
+            ("local_search", budget, seed)
+            for budget in (7, 60, 200)
+            for seed in (0, 3)
+        ]
+        if g.n_edges <= 14:
+            runs.append(("exhaustive", 1000, 0))
+        for method, budget, seed in runs:
+            res = optimize_decomposition(g, method=method, budget=budget, seed=seed)
+            h.update(json.dumps(res.to_json_obj()).encode())
+    assert h.hexdigest() == OPTIMIZER_SWEEP_DIGEST
