@@ -143,6 +143,11 @@ def decompose_greedy(g: Multigraph, seed: int = 0) -> CycleDecomposition:
     """
     if not is_even(g):
         raise NotEvenError("graph is not even")
+    return _decompose_greedy(g, seed)
+
+
+def _decompose_greedy(g: Multigraph, seed: int) -> CycleDecomposition:
+    """``decompose_greedy`` of a graph already known to be even."""
     rng = random.Random(seed)
     incident: dict[int, set[int]] = {v: set() for v in g.vertices}
     for eid, u, v in g.edges():

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 from .cigraph import CIGraph, ForestCover, Link, _build_ci, _closing_links
 from .cigraph import cycle_rank, is_simple, msf, restrict_ci
-from .decompose import CycleDecomposition, _require_valid, decompose_greedy
+from .decompose import CycleDecomposition, _decompose_greedy, _require_valid
 from .errors import (
     DisconnectedError,
     InvalidDecompositionError,
@@ -287,7 +287,7 @@ def analyze(
             "graph is disconnected; analyze components separately"
         )
     if d is None:
-        d = decompose_greedy(g, seed)
+        d = _decompose_greedy(g, seed)
     else:
         _require_valid(g, d)
     return _report(g, d, oracle_limit)
@@ -356,7 +356,7 @@ def analyze_components(
     # a graph with no vertex has no component but is still one part
     parts = g.components() or [g]
     if d is None:
-        part_ds = [decompose_greedy(part, seed) for part in parts]
+        part_ds = [_decompose_greedy(part, seed) for part in parts]
     else:
         # a cycle lies in the part of any of its edges
         part_of = {e: i for i, part in enumerate(parts) for e in part.edge_ids}

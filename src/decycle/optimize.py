@@ -16,12 +16,12 @@ from typing import Optional
 from .cigraph import CIGraph, _build_ci, cycle_rank
 from .decompose import (
     CycleDecomposition,
+    _decompose_greedy,
     _moves,
-    decompose_greedy,
     enumerate_decompositions,
 )
 from .decycling import _construct_decycling
-from .errors import DisconnectedError, NotEvenError
+from .errors import DisconnectedError, InvariantError, NotEvenError
 from .multigraph import Multigraph, is_connected, is_even
 
 METHODS = ("exhaustive", "local_search")
@@ -47,12 +47,6 @@ class OptimizationResult:
         }
 
 
-def _objective(g: Multigraph, d: CycleDecomposition) -> tuple[int, int]:
-    """(cycle rank, general bound) of a decomposition this module generated."""
-    ci = _build_ci(d)
-    return cycle_rank(ci), len(_construct_decycling(g, d, ci)[0])
-
-
 def optimize_decomposition(
     g: Multigraph,
     method: str = "exhaustive",
@@ -74,58 +68,86 @@ def optimize_decomposition(
     if not is_connected(g):
         raise DisconnectedError("graph is disconnected; optimize per component")
 
+    # A connected even graph's CI has rank
+    # sum_v C(deg(v)/2, 2) - |d| + 1, so every rank follows from |d| and
+    # one anchor, and the bound is built only for a candidate that could
+    # tie or beat the best on rank. Keys stay (rank, bound, sort_key).
+    base: Optional[int] = None
+    bounds: dict[tuple[tuple[int, ...], ...], int] = {}
     best: Optional[tuple[tuple, CycleDecomposition]] = None
     evaluations = 0
 
-    def consider(d: CycleDecomposition, key: tuple) -> tuple:
-        nonlocal best, evaluations
+    def key_of(sk: Optional[tuple], d: CycleDecomposition) -> tuple:
+        """The full key of ``d``; ``sk`` is its sort_key, or None to
+        compute it here."""
+        if sk is None:
+            sk = d.sort_key
+        if sk not in bounds:
+            bounds[sk] = len(_construct_decycling(g, d, _build_ci(d))[0])
+        return base - len(d), bounds[sk], sk
+
+    def consider(sk: Optional[tuple], d: CycleDecomposition) -> int:
+        """Count an evaluation and return the rank of ``d``."""
+        nonlocal base, best, evaluations
         evaluations += 1
-        if best is None or key < best[0]:
-            best = (key, d)
-        return key
+        if base is None:
+            base = cycle_rank(_build_ci(d)) + len(d)
+        rank = base - len(d)
+        if best is None or rank <= best[0][0]:
+            key = key_of(sk, d)
+            if best is None or key < best[0]:
+                best = (key, d)
+        return rank
 
     if method == "exhaustive":
+        # most decompositions lose on rank and never need a sort_key
         for d in enumerate_decompositions(g):
-            consider(d, (*_objective(g, d), d.sort_key))
+            consider(None, d)
     else:
         # Local search meets the same decompositions and cycle unions
-        # over and over: evaluate and re-split each one once per call.
-        # A move comes with its sort_key, which indexes the memo.
-        keys: dict[tuple[tuple[int, ...], ...], tuple] = {}
+        # over and over: bound and re-split each one once per call. A
+        # move comes with its sort_key, which indexes the bound memo.
         splits: dict = {}
-
-        def key_of(sk: tuple, d: CycleDecomposition) -> tuple:
-            if sk not in keys:
-                keys[sk] = (*_objective(g, d), sk)
-            return keys[sk]
-
         rng = random.Random(seed)
         restart = 0
         while evaluations < budget:
-            current = decompose_greedy(g, seed + restart)
+            current = _decompose_greedy(g, seed + restart)
             restart += 1
-            current_key = consider(current, key_of(current.sort_key, current))
+            sk = current.sort_key
+            consider(sk, current)
+            current_key = key_of(sk, current)
             escaped = False
             while evaluations < budget:
-                # sort keys are unique among the moves, so min never
-                # compares two decompositions
                 moves = _moves(g, current, splits)[: budget - evaluations]
-                tried = [(consider(nd, key_of(sk, nd)), nd) for sk, nd in moves]
-                if not tried:
+                if not moves:
                     break
-                step = min(tried)
-                if step[0][:2] < current_key[:2]:
-                    current_key, current = step
-                elif not escaped:
-                    current_key, current = tried[rng.randrange(len(tried))]
-                    escaped = True
-                else:
+                ranks = [consider(sk, nd) for sk, nd in moves]
+                low = min(ranks)
+                # only the lowest-rank moves can improve on current; sort
+                # keys are unique among them, so min never compares two
+                # decompositions
+                if low <= current_key[0]:
+                    step = min(
+                        (key_of(sk, nd), nd)
+                        for (sk, nd), rank in zip(moves, ranks)
+                        if rank == low
+                    )
+                    if step[0][:2] < current_key[:2]:
+                        current_key, current = step
+                        continue
+                if escaped:
                     break
+                sk, current = moves[rng.randrange(len(moves))]
+                current_key = key_of(sk, current)
+                escaped = True
 
     (rank, bound, _), d = best
+    best_ci = _build_ci(d)
+    if cycle_rank(best_ci) != rank:
+        raise InvariantError("CI rank differs from the rank given by |d|")
     return OptimizationResult(
         best_decomposition=d,
-        best_ci=_build_ci(d),
+        best_ci=best_ci,
         best_rank=rank,
         best_bound=bound,
         evaluations=evaluations,

@@ -3,14 +3,19 @@
 Everything here works on raw data (vertex lists, endpoint pairs) and
 avoids the package's own data structures and algorithms: acyclicity is
 decided by leaf peeling instead of union-find, matchings and covers by
-exhaustive search. ``oracle_movable_subsets`` is the exception: it tests
-every cycle subset on the package's ``Multigraph`` (``restricted_to_edges``
-and ``is_connected``), as the reference for the subset growth in
-``decompose``.
+exhaustive search. Two oracles are exceptions. ``oracle_movable_subsets``
+tests every cycle subset on the package's ``Multigraph``
+(``restricted_to_edges`` and ``is_connected``), as the reference for the
+subset growth in ``decompose``. ``oracle_best_decomposition`` scores every
+enumerated decomposition with the package's CI and bound, as the
+reference for the optimizer's lazy objective.
 """
 
 from itertools import combinations
 
+from decycle.cigraph import build_ci, cycle_rank
+from decycle.decompose import enumerate_decompositions
+from decycle.decycling import decycle_general
 from decycle.multigraph import is_connected
 
 
@@ -224,3 +229,20 @@ def oracle_movable_subsets(g, cycles) -> list:
             if low_degree and is_connected(union):
                 found.append(subset)
     return found
+
+
+def oracle_best_decomposition(g):
+    """(rank, bound, decomposition, count): the first decomposition of
+    least (CI cycle rank, general bound, sort_key) over
+    ``enumerate_decompositions``, every key computed in full, and the
+    number of decompositions scored."""
+    best = None
+    count = 0
+    for d in enumerate_decompositions(g):
+        count += 1
+        ci = build_ci(g, d)
+        key = (cycle_rank(ci), len(decycle_general(g, d, ci)), d.sort_key)
+        if best is None or key < best[0]:
+            best = (key, d)
+    (rank, bound, _), d = best
+    return rank, bound, d, count

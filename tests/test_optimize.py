@@ -4,17 +4,18 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from decycle import optimize
+from decycle import decompose, decycling, optimize
 from decycle.cigraph import build_ci, cycle_rank
-from decycle.decompose import CycleDecomposition, decompose_greedy
+from decycle.decompose import CycleDecomposition
 from decycle.decycling import analyze, exact_decycling_number
-from decycle.errors import NotEvenError
+from decycle.errors import InvariantError, NotEvenError
 from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
 from decycle.optimize import METHODS, optimize_decomposition
+from oracles import oracle_best_decomposition
 
 
 def test_exhaustive_doubled_triangle(doubled_triangle):
@@ -79,6 +80,19 @@ def test_result_json(doubled_triangle):
     obj = res.to_json_obj()
     assert obj["best_rank"] == 1 and obj["method"] == "exhaustive"
     assert obj["evaluations"] == 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(4, 8), cycles=st.integers(1, 3), seed=st.integers(0, 20_000))
+def test_exhaustive_matches_eager_oracle(n, cycles, seed):
+    g = random_even(n, cycles, seed=seed)
+    # the decomposition count grows exponentially with the edges: over
+    # 16 edges one graph can have hundreds of thousands
+    assume(g.n_edges <= 16)
+    res = optimize_decomposition(g, method="exhaustive")
+    rank, bound, d, count = oracle_best_decomposition(g)
+    assert (res.best_rank, res.best_bound, res.evaluations) == (rank, bound, count)
+    assert res.best_decomposition == d
 
 
 @settings(max_examples=15, deadline=None)
@@ -147,12 +161,12 @@ def test_local_search_keys_each_greedy_start_once(monkeypatch):
         counts["sort_key"] += 1
         return sort_key(d)
 
-    def counted_greedy(g, seed=0):
+    def counted_greedy(g, seed):
         counts["greedy"] += 1
-        return decompose_greedy(g, seed)
+        return decompose._decompose_greedy(g, seed)
 
     monkeypatch.setattr(CycleDecomposition, "sort_key", property(counted_sort_key))
-    monkeypatch.setattr(optimize, "decompose_greedy", counted_greedy)
+    monkeypatch.setattr(optimize, "_decompose_greedy", counted_greedy)
     g = random_even(7, 3, seed=12)
     res = optimize_decomposition(g, method="local_search", budget=200)
     assert res.evaluations == 200 and counts["greedy"] > 1
@@ -195,3 +209,62 @@ def test_optimizer_output_is_pinned():
             res = optimize_decomposition(g, method=method, budget=budget, seed=seed)
             h.update(json.dumps(res.to_json_obj()).encode())
     assert h.hexdigest() == OPTIMIZER_SWEEP_DIGEST
+
+
+@pytest.mark.parametrize(
+    "graph, method, budget, evaluations, built",
+    [
+        ((8, 4, 11), "exhaustive", 1000, 17_301, 234),
+        ((12, 5, 0), "local_search", 200, 200, 4),
+    ],
+    ids=["exhaustive", "local_search"],
+)
+def test_bound_is_built_only_where_rank_ties(
+    monkeypatch, graph, method, budget, evaluations, built
+):
+    # the rank comes from |d|; a bound is built only for a decomposition
+    # that ties or beats the best rank, or that local search steps to
+    calls = []
+    construct = optimize._construct_decycling
+
+    def counted(*args):
+        calls.append(args)
+        return construct(*args)
+
+    monkeypatch.setattr(optimize, "_construct_decycling", counted)
+    n, cycles, seed = graph
+    g = random_even(n, cycles, seed=seed)
+    res = optimize_decomposition(g, method=method, budget=budget)
+    assert (res.evaluations, len(calls)) == (evaluations, built)
+
+
+def test_evenness_is_checked_once_per_call(monkeypatch):
+    calls = []
+    is_even = decompose.is_even
+
+    def counted(g):
+        calls.append(g)
+        return is_even(g)
+
+    for module in (decompose, decycling, optimize):
+        monkeypatch.setattr(module, "is_even", counted)
+    g = random_even(7, 3, seed=12)
+    res = optimize_decomposition(g, method="local_search", budget=200)
+    assert res.evaluations == 200 and len(calls) == 1
+    calls.clear()
+    analyze(g)
+    assert len(calls) == 1
+
+
+def test_rank_from_size_is_checked_against_the_ci(monkeypatch):
+    # the first decomposition anchors the rank; a CI rank that disagrees
+    # with the size rule at the end is an invariant failure
+    calls = []
+
+    def skewed(ci):
+        calls.append(ci)
+        return cycle_rank(ci) + (len(calls) > 1)
+
+    monkeypatch.setattr(optimize, "cycle_rank", skewed)
+    with pytest.raises(InvariantError, match="rank"):
+        optimize_decomposition(random_even(7, 3, seed=12), method="exhaustive")
