@@ -1,9 +1,12 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import raw
-from decycle.cigraph import CIGraph, build_ci, cycle_rank, msf
+from decycle.cigraph import CIGraph, build_ci, cycle_rank, max_matching, msf
 from decycle.decompose import (
     CycleDecomposition,
     decompose_greedy,
@@ -372,3 +375,42 @@ def test_analyze_matches_separate_routes(family, size, seed):
     assert obj["bounds"] == bounds
     assert obj["witnesses"] == witnesses
     assert obj["rank_cover_gap"] == gap
+
+
+# sha256 over the JSON of every report of ``analyze_sweep`` and the
+# maximum matching of its CI. The dense graphs have CIs of over a
+# thousand links, many parallel, which no golden file reaches; the
+# forests and the small graphs take the tree and oracle routes.
+ANALYZE_SWEEP_DIGEST = (
+    "2177d19ef6cb3b56db99e38d65ce57ce0e3d0912d089dbfd5bacdcf14537df4b"
+)
+
+
+def analyze_sweep():
+    for seed in range(8):
+        yield random_even(40, 16, seed=seed), seed
+    for seed in range(5):
+        yield cycle_tree(100, seed=seed), seed
+    for seed in range(12):
+        yield random_even(12, 5, seed=seed), seed
+
+
+def test_analyze_output_is_pinned():
+    runs = [(g, analyze(g, seed=seed)) for g, seed in analyze_sweep()]
+    # one disconnected graph: three parts with interleaved vertex and
+    # edge ids, analysed per component
+    parts = [random_even(12, 5, seed=9), cycle_tree(8, seed=1),
+             build_family("doubled_cycle", k=3)]
+    vertices, edges = [], []
+    for t, part in enumerate(parts):
+        vertices += [3 * v + t for v in part.vertices]
+        edges += [(3 * e + t, (3 * u + t, 3 * v + t)) for e, u, v in part.edges()]
+    g = Multigraph(vertices, edges)
+    runs += zip(g.components(), analyze_components(g, seed=2))
+    h = hashlib.sha256()
+    for g, rep in runs:
+        matching = max_matching(build_ci(g, rep.decomposition))
+        h.update(json.dumps(rep.to_json_obj()).encode())
+        h.update(json.dumps([[l.a, l.b, l.label] for l in matching]).encode())
+    assert len(runs) == 28
+    assert h.hexdigest() == ANALYZE_SWEEP_DIGEST
