@@ -12,16 +12,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .decompose import CycleDecomposition, _require_valid
-from .multigraph import Multigraph, find_root
+from .multigraph import Multigraph
 
 
-@dataclass(frozen=True, slots=True)
-class Link:
+class Link(NamedTuple):
     """Labeled link between two cycle nodes; ``label`` is the shared
-    graph vertex."""
+    graph vertex. A named tuple, about half the cost of a frozen
+    dataclass to build, and a CI of a dense graph has thousands."""
 
     a: int
     b: int
@@ -38,6 +40,20 @@ class CIGraph:
 
     node_count: int
     links: tuple[Link, ...]
+
+    @cached_property
+    def bundles(self) -> dict[tuple[int, int], list[Link]]:
+        """The links grouped by node pair, pairs and links in link order;
+        a pair's list holds one link unless it is a parallel bundle.
+        Computed once per graph; callers must not modify it."""
+        bundles: dict[tuple[int, int], list[Link]] = {}
+        for link in self.links:
+            pair = (link.a, link.b)
+            if pair in bundles:
+                bundles[pair].append(link)
+            else:
+                bundles[pair] = [link]
+        return bundles
 
     def to_json_obj(self) -> dict:
         return {
@@ -76,35 +92,48 @@ def _build_ci(d: CycleDecomposition) -> CIGraph:
     for i, cyc in enumerate(d.cycles):
         for v in cyc.vertices:
             through.setdefault(v, []).append(i)
-    triples = sorted(  # (a, b, label) order, as _simple_pairs expects
+    triples = sorted(  # (a, b, label) order, as CIGraph promises
         (i, j, v) for v, on in through.items() for i, j in combinations(on, 2)
     )
-    return CIGraph(len(d.cycles), tuple(Link(*t) for t in triples))
+    return CIGraph(len(d.cycles), tuple(map(Link._make, triples)))
 
 
-def _closing_links(node_count: int, links) -> list[Link]:
+def _closing_links(node_count: int, links) -> list:
     """The links that close a cycle with the links before them in the
-    given order; the others form a spanning forest."""
-    parent = list(range(node_count))
+    given order; the others form a spanning forest. A link is any
+    sequence that starts with its two end nodes."""
+    comp = list(range(node_count))  # node -> its component's id
+    members = [[v] for v in range(node_count)]  # component id -> nodes
+    joins_left = node_count - 1
     closing = []
+    links = iter(links)
     for link in links:
-        ra, rb = find_root(parent, link.a), find_root(parent, link.b)
-        if ra == rb:
+        ca, cb = comp[link[0]], comp[link[1]]
+        if ca == cb:
             closing.append(link)
-        else:
-            parent[ra] = rb
+            continue
+        if len(members[ca]) < len(members[cb]):
+            ca, cb = cb, ca
+        for v in members[cb]:  # relabel the smaller component
+            comp[v] = ca
+        members[ca] += members[cb]
+        joins_left -= 1
+        if not joins_left:  # a spanning tree: every later link closes
+            closing.extend(links)
+            break
     return closing
 
 
 def is_simple(ci: CIGraph) -> bool:
     """True iff no two links join the same node pair."""
-    return len(_simple_pairs(ci)) == len(ci.links)
+    return len(ci.bundles) == len(ci.links)
 
 
 def cycle_rank(ci: CIGraph) -> int:
-    """First Betti number: links - nodes + components, counted as the
-    links that close a cycle."""
-    return len(_closing_links(ci.node_count, ci.links))
+    """First Betti number: links - nodes + components. Parallel links
+    close a cycle each, so only the node pairs need a union-find."""
+    pairs = ci.bundles
+    return len(ci.links) - len(pairs) + len(_closing_links(ci.node_count, pairs))
 
 
 def restrict_ci(ci: CIGraph, keep: list[int]) -> tuple[CIGraph, list[int]]:
@@ -193,13 +222,24 @@ def _augment(
     return False
 
 
-def _simple_pairs(ci: CIGraph) -> dict[tuple[int, int], Link]:
-    """Collapse parallel links; the representative is the first link of
-    each bundle in link order."""
-    rep: dict[tuple[int, int], Link] = {}
-    for link in ci.links:
-        rep.setdefault(link.pair(), link)
-    return rep
+def _max_mates(ci: CIGraph) -> tuple[list[list[int]], list[int]]:
+    """Adjacency lists of the collapsed simple graph and a maximum
+    matching of it as a mate array (-1 unmatched): a greedy maximal
+    matching in pair order, then one augmenting search from each free
+    node. No later augmentation can start from a node that had none."""
+    n = ci.node_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    match = [-1] * n
+    for a, b in ci.bundles:
+        adj[a].append(b)
+        adj[b].append(a)
+        if match[a] == match[b] == -1:
+            match[a], match[b] = b, a
+    gone = [False] * n
+    for v in range(n):
+        if match[v] == -1:
+            _augment(adj, match, gone, v)
+    return adj, match
 
 
 def max_matching(ci: CIGraph) -> tuple[Link, ...]:
@@ -207,28 +247,22 @@ def max_matching(ci: CIGraph) -> tuple[Link, ...]:
 
     Exact on non-bipartite graphs. Among all maximum matchings the one
     chosen is lexicographically first in link order, so results are
-    reproducible run to run.
+    reproducible run to run. Each pair is represented by the first link
+    of its bundle in link order.
     """
-    n = ci.node_count
-    rep = _simple_pairs(ci)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in rep:
-        adj[a].append(b)
-        adj[b].append(a)
-    match = [-1] * n
-    gone = [False] * n
-    for v in range(n):
-        if match[v] == -1:
-            _augment(adj, match, gone, v)
+    bundles = ci.bundles
+    adj, match = _max_mates(ci)
+    gone = [False] * ci.node_count
     # ``match`` stays a maximum matching of the nodes not ``gone``, and a
     # pair (a, b) is kept iff dropping a and b costs it exactly one edge.
-    # That holds at once if a-b is matched or one end is free (both
+    # That depends on the graph alone, not on the matching it starts from.
+    # It holds at once if a-b is matched or one end is free (both
     # cannot be: a-b would augment). Otherwise a and b are matched to c
     # and d, dropping both edges costs two, and the pair is kept iff one
     # augmenting path appears. It must end at c or d: a path between two
     # vertices free before the drop would have augmented ``match``.
     chosen: list[Link] = []
-    for a, b in sorted(rep):
+    for a, b in sorted(bundles):
         if gone[a] or gone[b]:
             continue
         c, d = match[a], match[b]
@@ -242,8 +276,15 @@ def max_matching(ci: CIGraph) -> tuple[Link, ...]:
             match[a], match[c], match[b], match[d] = c, a, d, b
             gone[a] = gone[b] = False
             continue
-        chosen.append(rep[(a, b)])
+        chosen.append(bundles[(a, b)][0])
     return tuple(chosen)
+
+
+def cover_size(ci: CIGraph) -> int:
+    """``msf(ci).size`` without choosing the cover: node count minus the
+    size of a maximum matching, any maximum matching."""
+    unmatched = _max_mates(ci)[1].count(-1)
+    return ci.node_count - (ci.node_count - unmatched) // 2
 
 
 def msf(ci: CIGraph) -> ForestCover:

@@ -148,11 +148,14 @@ def decompose_greedy(g: Multigraph, seed: int = 0) -> CycleDecomposition:
 
 def _decompose_greedy(g: Multigraph, seed: int) -> CycleDecomposition:
     """``decompose_greedy`` of a graph already known to be even."""
-    rng = random.Random(seed)
-    incident: dict[int, set[int]] = {v: set() for v in g.vertices}
+    getrandbits = random.Random(seed).getrandbits
+    # the residual edges at each vertex, in id order
+    incident: dict[int, list[int]] = {v: [] for v in g.vertices}
+    ends: dict[int, tuple[int, int]] = {}
     for eid, u, v in g.edges():
-        incident[u].add(eid)
-        incident[v].add(eid)
+        incident[u].append(eid)
+        incident[v].append(eid)
+        ends[eid] = (u, v)
     cycles: list[Cycle] = []
     # removing edges never gives a lower vertex residual edges back, so
     # one ascending sweep finds the start of every walk
@@ -164,19 +167,45 @@ def _decompose_greedy(g: Multigraph, seed: int) -> CycleDecomposition:
             while v not in position:
                 position[v] = len(position)
                 # a simple path touches its end only through its last edge
-                options = sorted(e for e in incident[v] if e != last)
-                rng.shuffle(options)
-                last = options[0]
+                options = incident[v]
+                if last is not None:
+                    options = options.copy()
+                    options.remove(last)
+                last = options[_first_after_shuffle(getrandbits, len(options))]
                 path_edges.append(last)
-                u, w = g.endpoints(last)
+                u, w = ends[last]
                 v = w if v == u else u
             i = position[v]
             cyc_edges = tuple(path_edges[i:])
             for e in cyc_edges:
-                for x in g.endpoints(e):
-                    incident[x].discard(e)
+                for x in ends[e]:
+                    incident[x].remove(e)
             cycles.append(Cycle(tuple(position)[i:], cyc_edges))
     return CycleDecomposition(_sorted_cycles(cycles))
+
+
+def _first_after_shuffle(getrandbits, size: int) -> int:
+    """The index of the item that ``random.shuffle`` of a list of
+    ``size`` items moves to the front, drawing the same random numbers.
+
+    The shuffle swaps item i with item j_i, for i from size - 1 down to
+    1, with j_i drawn below i + 1 by ``getrandbits`` and rejection. Read
+    back from the front: swap i moves position j_i's item to i, so
+    following the swaps with j_i equal to the position tracked, for i
+    going up, finds where the front item started.
+    """
+    draws = []
+    for n in range(size, 1, -1):
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        draws.append(j)
+    front = 0
+    for i, j in enumerate(reversed(draws), 1):
+        if j == front:
+            front = i
+    return front
 
 
 # -- exhaustive enumeration by cycle peeling ---------------------------------

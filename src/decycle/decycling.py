@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .cigraph import CIGraph, ForestCover, Link, _build_ci, _closing_links
-from .cigraph import cycle_rank, is_simple, msf, restrict_ci
+from .cigraph import cover_size, cycle_rank, is_simple, msf, restrict_ci
 from .decompose import CycleDecomposition, _decompose_greedy, _require_valid
 from .errors import (
     DisconnectedError,
@@ -71,27 +72,29 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
     Labels that recur across bundles are dropped preferentially so the
     same graph vertex pays for several removals.
     """
-    bundles: dict[tuple[int, int], list[Link]] = {}
-    for link in ci.links:
-        bundles.setdefault(link.pair(), []).append(link)
-    multi_labels: dict[int, int] = {}
-    for links in bundles.values():
-        if len(links) > 1:
-            for link in links:
-                multi_labels[link.label] = multi_labels.get(link.label, 0) + 1
+    bundles = ci.bundles.values()
+    multi_labels = Counter(
+        link.label for links in bundles if len(links) > 1 for link in links
+    )
     removed: set[int] = set()
     survivors: list[Link] = []
-    for links in bundles.values():
-        if len(links) == 1:
-            survivors.append(links[0])
-            continue
-        keep = min(links, key=lambda l: (multi_labels[l.label], l.label))
+    for links in bundles:
+        keep = links[0]
+        if len(links) > 1:
+            best = (multi_labels[keep.label], keep.label)
+            for link in links:
+                key = (multi_labels[link.label], link.label)
+                if key < best:
+                    keep, best = link, key
+            removed.update(link.label for link in links if link is not keep)
         survivors.append(keep)
-        removed.update(l.label for l in links if l is not keep)
     # feedback links of the remaining simple graph: grow a spanning
-    # forest, preferring to keep links whose labels are not yet paid for
-    survivors.sort(key=lambda l: (l.label in removed, l.label, l.a, l.b))
-    removed.update(l.label for l in _closing_links(ci.node_count, survivors))
+    # forest, preferring to keep links whose labels are not yet paid for,
+    # each part in (label, a, b) order
+    survivors.sort(key=attrgetter("label", "a", "b"))
+    order = [link for link in survivors if link.label not in removed]
+    order += [link for link in survivors if link.label in removed]
+    removed.update(link.label for link in _closing_links(ci.node_count, order))
     return removed
 
 
@@ -301,21 +304,22 @@ def _report(
     rank = cycle_rank(ci)
     witnesses: dict[str, DecyclingSet] = {}
 
-    linked = {v for link in ci.links for v in link.pair()}
+    linked = set(chain.from_iterable(ci.bundles))
     edge_count_bound = None
     if len(linked) == ci.node_count:  # every cycle meets another one
         edge_count_bound = bound_edge_count(ci)
         witnesses["edge_count"] = certify(g, (l.label for l in ci.links))
 
     # on a forest CI the general construction is the tree construction
-    # and its cover is msf(ci); otherwise the diagnostic needs msf(ci)
+    # and its cover is msf(ci); otherwise the diagnostic needs only the
+    # size of a minimum forest cover of ci
     general_set, cover = _construct_decycling(g, d, ci)
     tree_exact = None
     if rank == 0:
         witnesses["tree"] = general_set
-        tree_exact = cover.size
+        tree_exact = min_cover = cover.size
     else:
-        cover = msf(ci)
+        min_cover = cover_size(ci)
     witnesses["general"] = general_set
 
     exact = None
@@ -336,7 +340,7 @@ def _report(
         ci_links=len(ci.links),
         ci_rank=rank,
         ci_simple=is_simple(ci),
-        rank_cover_gap=rank - cover.size,
+        rank_cover_gap=rank - min_cover,
         decomposition=d,
     )
 

@@ -9,8 +9,10 @@ tests every cycle subset on the package's ``Multigraph``
 subset growth in ``decompose``. ``oracle_best_decomposition`` scores every
 enumerated decomposition with the package's CI and bound, as the
 reference for the optimizer's lazy objective.
+``oracle_greedy`` reads the package's ``Multigraph`` to walk it.
 """
 
+import random
 from itertools import combinations
 
 from decycle.cigraph import build_ci, cycle_rank
@@ -61,6 +63,35 @@ def oracle_decycling(vertices, edges):
             if oracle_acyclic(rest, kept):
                 return k, s
     raise AssertionError("unreachable: empty graph is acyclic")
+
+
+def oracle_greedy(g, seed) -> list:
+    """The seeded greedy walk the plain way: from the lowest vertex with
+    edges left, sort the unused edges at the walk's end, less the edge
+    it came by, ``random.Random(seed).shuffle`` them and take the first;
+    peel the cycle once the walk meets its own path. Returns each cycle
+    as (vertices, edge ids), ordered by sorted edge ids."""
+    rng = random.Random(seed)
+    ends = {eid: (u, v) for eid, u, v in g.edges()}
+    unused = set(ends)
+    cycles = []
+    for start in sorted(g.vertices):
+        while any(start in ends[e] for e in unused):
+            path, edges, v, last = [], [], start, None
+            while v not in path:
+                path.append(v)
+                options = sorted(
+                    e for e in unused if v in ends[e] and e != last
+                )
+                rng.shuffle(options)
+                last = options[0]
+                edges.append(last)
+                u, w = ends[last]
+                v = w if v == u else u
+            i = path.index(v)
+            cycles.append((tuple(path[i:]), tuple(edges[i:])))
+            unused -= set(edges[i:])
+    return sorted(cycles, key=lambda c: sorted(c[1]))
 
 
 def oracle_ci_links(cycles) -> tuple:

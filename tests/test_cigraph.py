@@ -2,13 +2,14 @@ import math
 import random
 from itertools import combinations, islice
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decycle.cigraph import (
     CIGraph,
     Link,
     build_ci,
+    cover_size,
     cycle_rank,
     is_simple,
     max_matching,
@@ -220,6 +221,76 @@ def test_matching_matches_exhaustive_oracle(n, seed):
     m = [l.pair() for l in max_matching(ci)]
     assert len(m) == oracle_max_matching(pairs)
     assert m == oracle_lex_first_matching(pairs)
+
+
+@st.composite
+def ci_graphs(draw):
+    """CI graphs on 0 to 6 nodes with parallel links, links in any order,
+    isolated nodes and several components; labels are distinct."""
+    n = draw(st.integers(0, 6))
+    pairs = list(combinations(range(n), 2))
+    drawn = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    links = [Link(a, b, 100 + i) for i, (a, b) in enumerate(drawn)]
+    return CIGraph(n, tuple(draw(st.permutations(links))))
+
+
+def on_ci_graphs(test):
+    """Run ``test`` on drawn CI graphs, always with 0 and 1 nodes too."""
+    for n in (0, 1):
+        test = example(ci=CIGraph(n, ()))(test)
+    return settings(max_examples=150, deadline=None)(given(ci=ci_graphs())(test))
+
+
+def _components(n, pairs):
+    """Connected components of nodes 0..n-1 and ``pairs``, by search."""
+    adj = {v: set() for v in range(n)}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    seen, count = set(), 0
+    for v in range(n):
+        if v not in seen:
+            count += 1
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                if x not in seen:
+                    seen.add(x)
+                    stack.extend(adj[x])
+    return count
+
+
+@on_ci_graphs
+def test_bundles_group_links_by_pair_in_link_order(ci):
+    pairs = list(dict.fromkeys(l.pair() for l in ci.links))
+    assert list(ci.bundles) == pairs
+    for pair in pairs:
+        assert ci.bundles[pair] == [l for l in ci.links if l.pair() == pair]
+    assert is_simple(ci) == (len(pairs) == len(ci.links))
+
+
+@on_ci_graphs
+def test_cycle_rank_is_links_minus_nodes_plus_components(ci):
+    pairs = [l.pair() for l in ci.links]
+    assert cycle_rank(ci) == len(pairs) - ci.node_count + _components(
+        ci.node_count, pairs
+    )
+
+
+@on_ci_graphs
+def test_warm_started_matching_is_the_lex_first_one(ci):
+    pairs = [l.pair() for l in ci.links]
+    m = max_matching(ci)
+    assert [l.pair() for l in m] == oracle_lex_first_matching(pairs)
+    # each pair is represented by its first link in link order
+    assert all(l == ci.links[pairs.index(l.pair())] for l in m)
+
+
+@on_ci_graphs
+def test_cover_size_is_the_forest_cover_size(ci):
+    pairs = {l.pair() for l in ci.links}
+    size = oracle_min_forest_cover(ci.node_count, pairs)
+    assert cover_size(ci) == msf(ci).size == size
 
 
 # -- forest cover -------------------------------------------------------------

@@ -23,6 +23,7 @@ from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
 from oracles import (
     oracle_count_decompositions,
+    oracle_greedy,
     oracle_movable_subsets,
     oracle_neighbor_keys,
 )
@@ -470,3 +471,33 @@ def test_movable_subsets_match_oracle_random(n, cycles, seed, pick):
     grown = [tuple(sorted(chosen)) for chosen, _ in _movable_subsets(d.cycles)]
     assert len(set(grown)) == len(grown)  # each subset reached once
     assert sorted(grown) == sorted(oracle_movable_subsets(g, d.cycles))
+
+
+# -- greedy against the shuffling walk ----------------------------------------
+
+
+@st.composite
+def greedy_graphs(draw):
+    family = draw(
+        st.sampled_from(["random_even", "doubled_cycle", "theta", "cycle_tree"])
+    )
+    seed = draw(st.integers(0, 10_000))
+    if family == "random_even":
+        n, cycles = draw(st.integers(2, 14)), draw(st.integers(1, 6))
+        return random_even(n, cycles, seed=seed)
+    if family == "doubled_cycle":
+        return build_family("doubled_cycle", k=draw(st.integers(2, 6)))
+    if family == "theta":
+        # an even number of hub-to-hub paths; length-1 paths give digons
+        lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        return build_family("theta", lengths=tuple(lengths * 2))
+    return build_family("cycle_tree", nodes=draw(st.integers(1, 12)), seed=seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=greedy_graphs(), seed=st.integers(0, 2**64))
+def test_greedy_matches_the_shuffling_walk(g, seed):
+    # the walk draws what a shuffle of the sorted options would draw, so
+    # it picks the same edges at every step, digons and lone options too
+    d = decompose_greedy(g, seed)
+    assert [(c.vertices, c.edges) for c in d.cycles] == oracle_greedy(g, seed)
