@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .decompose import CycleDecomposition, _require_valid
-from .multigraph import Multigraph
+from .multigraph import Multigraph, find_root
 
 
 class Link(NamedTuple):
@@ -102,21 +102,16 @@ def _closing_links(node_count: int, links) -> list:
     """The links that close a cycle with the links before them in the
     given order; the others form a spanning forest. A link is any
     sequence that starts with its two end nodes."""
-    comp = list(range(node_count))  # node -> its component's id
-    members = [[v] for v in range(node_count)]  # component id -> nodes
+    parent = list(range(node_count))
     joins_left = node_count - 1
     closing = []
     links = iter(links)
     for link in links:
-        ca, cb = comp[link[0]], comp[link[1]]
-        if ca == cb:
+        ra, rb = find_root(parent, link[0]), find_root(parent, link[1])
+        if ra == rb:
             closing.append(link)
             continue
-        if len(members[ca]) < len(members[cb]):
-            ca, cb = cb, ca
-        for v in members[cb]:  # relabel the smaller component
-            comp[v] = ca
-        members[ca] += members[cb]
+        parent[ra] = rb
         joins_left -= 1
         if not joins_left:  # a spanning tree: every later link closes
             closing.extend(links)

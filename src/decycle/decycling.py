@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import attrgetter
 from typing import Iterable, Optional
 
 from .cigraph import CIGraph, ForestCover, Link, _build_ci, _closing_links
@@ -73,9 +72,11 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
     same graph vertex pays for several removals.
     """
     bundles = ci.bundles.values()
-    multi_labels = Counter(
-        link.label for links in bundles if len(links) > 1 for link in links
-    )
+    multi_labels: dict[int, int] = {}
+    for links in bundles:
+        if len(links) > 1:
+            for link in links:
+                multi_labels[link.label] = multi_labels.get(link.label, 0) + 1
     removed: set[int] = set()
     survivors: list[Link] = []
     for links in bundles:
@@ -89,12 +90,9 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
             removed.update(link.label for link in links if link is not keep)
         survivors.append(keep)
     # feedback links of the remaining simple graph: grow a spanning
-    # forest, preferring to keep links whose labels are not yet paid for,
-    # each part in (label, a, b) order
-    survivors.sort(key=attrgetter("label", "a", "b"))
-    order = [link for link in survivors if link.label not in removed]
-    order += [link for link in survivors if link.label in removed]
-    removed.update(link.label for link in _closing_links(ci.node_count, order))
+    # forest, preferring to keep links whose labels are not yet paid for
+    survivors.sort(key=lambda l: (l.label in removed, l.label, l.a, l.b))
+    removed.update(l.label for l in _closing_links(ci.node_count, survivors))
     return removed
 
 
