@@ -59,8 +59,8 @@ def optimize_decomposition(
     ``local_search`` restarts greedy decompositions and walks improving
     neighbor moves until the evaluation budget runs out.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget <= 0:
+        raise ValueError(f"budget must be a positive integer, not {budget!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not is_even(g):
@@ -105,9 +105,15 @@ def optimize_decomposition(
             consider(None, d)
     else:
         # Local search meets the same decompositions and cycle unions
-        # over and over: bound and re-split each one once per call. A
-        # move comes with its sort_key, which indexes the bound memo.
+        # over and over: bound, re-split and build the neighbourhood of
+        # each one once per call. A move comes with its sort_key, which
+        # indexes the bound and neighbourhood memos. A neighbourhood is
+        # cut to the budget only where it is used, and every one built
+        # before the last is evaluated in full, so ``neighbourhoods``
+        # holds at most budget + one neighbourhood's moves, like
+        # ``bounds``.
         splits: dict = {}
+        neighbourhoods: dict = {}
         rng = random.Random(seed)
         restart = 0
         while evaluations < budget:
@@ -118,7 +124,9 @@ def optimize_decomposition(
             current_key = key_of(sk, current)
             escaped = False
             while evaluations < budget:
-                moves = _moves(g, current, splits)[: budget - evaluations]
+                if current_key[2] not in neighbourhoods:
+                    neighbourhoods[current_key[2]] = _moves(g, current, splits)
+                moves = neighbourhoods[current_key[2]][: budget - evaluations]
                 if not moves:
                     break
                 ranks = [consider(sk, nd) for sk, nd in moves]

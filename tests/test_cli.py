@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,22 @@ def test_analyze_family(capsys):
     assert code == 0
     assert "exact (oracle)   : 2" in out
     assert "general bound    : 2" in out
+
+
+def test_package_runs_as_a_module(capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "decycle", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    assert module("--help").returncode == 0
+    argv = ("analyze", "--family", "cycle", "--k", "5")
+    proc = module(*argv)
+    assert (proc.returncode, proc.stdout) == run(capsys, *argv)[:2]
 
 
 def test_analyze_json(capsys):

@@ -75,6 +75,13 @@ def test_errors(doubled_triangle):
         optimize_decomposition(path)
 
 
+@pytest.mark.parametrize("budget", [0, -3, 2.5, True, "7", None])
+@pytest.mark.parametrize("method", METHODS)
+def test_budget_must_be_a_positive_integer(doubled_triangle, method, budget):
+    with pytest.raises(ValueError, match="budget"):
+        optimize_decomposition(doubled_triangle, method=method, budget=budget)
+
+
 def test_result_json(doubled_triangle):
     res = optimize_decomposition(doubled_triangle, method="exhaustive")
     obj = res.to_json_obj()
@@ -171,6 +178,29 @@ def test_local_search_keys_each_greedy_start_once(monkeypatch):
     res = optimize_decomposition(g, method="local_search", budget=200)
     assert res.evaluations == 200 and counts["greedy"] > 1
     assert counts["sort_key"] == counts["greedy"]
+
+
+@pytest.mark.parametrize(
+    "g, calls",
+    [(random_even(7, 3, seed=1), 3), (build_family("triangle_chain", k=4), 1)],
+    ids=["random_even", "triangle_chain"],
+)
+def test_local_search_builds_each_neighbourhood_once(monkeypatch, g, calls):
+    # one _moves call per distinct current decomposition; every
+    # neighbourhood but the last is evaluated in full, so the moves
+    # built stay within budget + the largest neighbourhood
+    built = []
+    moves = optimize._moves
+
+    def counted(*args):
+        built.append(moves(*args))
+        return built[-1]
+
+    monkeypatch.setattr(optimize, "_moves", counted)
+    res = optimize_decomposition(g, method="local_search", budget=200, seed=0)
+    assert (res.evaluations, len(built)) == (200, calls)
+    sizes = [len(m) for m in built]
+    assert sum(sizes) <= 200 + max(sizes)
 
 
 def optimizer_sweep():
