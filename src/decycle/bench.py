@@ -40,9 +40,9 @@ def run_instance(
     graph_id: str,
     g: Multigraph,
     strategy: str,
-    seed: int = 0,
-    budget: int = 200,
-    oracle_limit: Optional[int] = None,
+    seed: int,
+    budget: int,
+    oracle_limit: Optional[int],
 ) -> dict:
     """One bench row, keyed by ``CSV_COLUMNS``."""
     d = None  # analyze falls back to the greedy decomposition

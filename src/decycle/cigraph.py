@@ -131,11 +131,9 @@ def cycle_rank(ci: CIGraph) -> int:
     return len(ci.links) - len(pairs) + len(_closing_links(ci.node_count, pairs))
 
 
-def restrict_ci(ci: CIGraph, keep: list[int]) -> tuple[CIGraph, list[int]]:
-    """CI subgraph induced on ``keep`` with renumbered nodes.
-
-    Returns the subgraph and the list mapping new node index to old.
-    """
+def restrict_ci(ci: CIGraph, keep: list[int]) -> CIGraph:
+    """CI subgraph induced on ``keep``; node i of the subgraph is the
+    i-th smallest node of ``keep``."""
     keep = sorted(keep)
     index = {old: new for new, old in enumerate(keep)}
     links = tuple(
@@ -143,7 +141,7 @@ def restrict_ci(ci: CIGraph, keep: list[int]) -> tuple[CIGraph, list[int]]:
         for l in ci.links
         if l.a in index and l.b in index
     )
-    return CIGraph(len(keep), links), keep
+    return CIGraph(len(keep), links)
 
 
 # -- exact maximum matching -------------------------------------------------
@@ -294,8 +292,8 @@ def msf(ci: CIGraph) -> ForestCover:
     return ForestCover(matching, isolated)
 
 
-def to_dot(ci: CIGraph, name: str = "CI") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(ci: CIGraph) -> str:
+    lines = ["graph CI {"]
     for v in range(ci.node_count):
         lines.append(f'  {v} [label="cycle {v}"];')
     for link in ci.links:

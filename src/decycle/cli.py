@@ -17,13 +17,14 @@ from . import bench as bench_mod
 from .decompose import CycleDecomposition
 from .decycling import (
     BoundReport,
+    analyze,
     analyze_components,
     exact_decycling_number,
     merge_reports,
 )
 from .errors import DecycleError, DomainError, ParseError
 from .families import FAMILY_NAMES, build_family, family_params
-from .multigraph import Multigraph, is_connected, is_even, parse_edge_list, to_edge_list
+from .multigraph import DecyclingSet, Multigraph, parse_edge_list, to_edge_list
 from .multigraph import to_dot as graph_to_dot
 from .cigraph import CIGraph, _build_ci
 from .cigraph import to_dot as ci_to_dot
@@ -69,7 +70,7 @@ def _load_graph(args) -> Multigraph:
     if args.input == "-":
         return parse_edge_list(sys.stdin.read())
     with open(args.input, "rb") as fh:
-        return parse_edge_list(fh)
+        return parse_edge_list(fh.read())
 
 
 def _load_decomposition(path: str) -> CycleDecomposition:
@@ -81,22 +82,27 @@ def _dump_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _fmt_cycles(d: CycleDecomposition) -> str:
+    return " ".join("-".join(str(v) for v in c.vertices) for c in d.cycles)
+
+
+def _fmt_vertices(s: DecyclingSet) -> str:
+    return "{" + ", ".join(str(v) for v in s.sorted_vertices()) + "}"
+
+
 def _fmt_bound(value: Optional[int], witness) -> str:
     if value is None:
         return "-"
-    verts = ", ".join(str(v) for v in witness.sorted_vertices())
-    return f"{value:<4} witness {{{verts}}}"
+    return f"{value:<4} witness {_fmt_vertices(witness)}"
 
 
 def _print_report(report: BoundReport, heading: str = "") -> None:
     if heading:
         print(heading)
     print(f"graph: {report.n_vertices} vertices, {report.n_edges} edges")
-    if report.decomposition is not None:
-        parts = []
-        for cyc in report.decomposition.cycles:
-            parts.append("-".join(str(v) for v in cyc.vertices))
-        print(f"decomposition: {len(parts)} cycles: {' '.join(parts)}")
+    d = report.decomposition
+    if d is not None:
+        print(f"decomposition: {len(d.cycles)} cycles: {_fmt_cycles(d)}")
     simple = "yes" if report.ci_simple else "no"
     print(
         f"CI graph: {report.ci_nodes} nodes, {report.ci_links} links, "
@@ -127,19 +133,13 @@ def _write_dot(directory: str, g: Multigraph, ci: Optional[CIGraph]) -> None:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph(args)
-    if not is_even(g):
-        sys.stderr.write(
-            "error: input graph is not even (some vertex has odd degree); "
-            "decycling analysis here is restricted to even graphs\n"
-        )
-        return DOMAIN_EXIT
-    if args.connected_only and not is_connected(g):
-        sys.stderr.write("error: input graph is disconnected\n")
-        return DOMAIN_EXIT
     d = _load_decomposition(args.decomposition) if args.decomposition else None
-    reports = analyze_components(
-        g, d, seed=args.seed, oracle_limit=args.oracle_limit
-    )
+    if args.connected_only:
+        reports = [analyze(g, d, seed=args.seed, oracle_limit=args.oracle_limit)]
+    else:
+        reports = analyze_components(
+            g, d, seed=args.seed, oracle_limit=args.oracle_limit
+        )
     total = reports[0] if len(reports) == 1 else merge_reports(reports)
     if args.json:
         obj = total.to_json_obj()
@@ -173,11 +173,7 @@ def _cmd_optimize(args) -> int:
         print(f"evaluations: {result.evaluations}")
         print(f"best rank: {result.best_rank}")
         print(f"best general bound: {result.best_bound}")
-        cycles = " ".join(
-            "-".join(str(v) for v in c.vertices)
-            for c in result.best_decomposition.cycles
-        )
-        print(f"best decomposition: {cycles}")
+        print(f"best decomposition: {_fmt_cycles(result.best_decomposition)}")
     return 0
 
 
@@ -187,9 +183,8 @@ def _cmd_exact(args) -> int:
     if args.json:
         _dump_json({"exact": value, "witness": witness.sorted_vertices()})
     else:
-        verts = ", ".join(str(v) for v in witness.sorted_vertices())
         print(f"exact decycling number: {value}")
-        print(f"witness: {{{verts}}}")
+        print(f"witness: {_fmt_vertices(witness)}")
     return 0
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Iterable, Optional
 
-from .cigraph import CIGraph, ForestCover, Link, _build_ci, _closing_links
+from .cigraph import CIGraph, Link, _build_ci, _closing_links
 from .cigraph import cover_size, cycle_rank, is_simple, msf, restrict_ci
 from .decompose import CycleDecomposition, _decompose_greedy, _require_valid
 from .errors import (
@@ -98,10 +98,9 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
 
 def _construct_decycling(
     g: Multigraph, d: CycleDecomposition, ci: CIGraph
-) -> tuple[DecyclingSet, ForestCover]:
+) -> DecyclingSet:
     """The general construction: strip ``ci`` to a forest, cover the
-    surviving cycles, certify. Also returns that forest cover; on a
-    forest CI nothing is stripped, so it is ``msf(ci)``.
+    surviving cycles, certify.
 
     A matched cover link contributes its label (killing both endpoint
     cycles); an isolated node contributes one vertex of its cycle,
@@ -113,7 +112,7 @@ def _construct_decycling(
         for i, cyc in enumerate(d.cycles)
         if stripped_labels.isdisjoint(cyc.vertices)
     ]
-    sub_ci, alive = restrict_ci(ci, alive)
+    sub_ci = restrict_ci(ci, alive)
     if cycle_rank(sub_ci) != 0:
         raise InvariantError("surviving cycles still form a cyclic CI graph")
     cover = msf(sub_ci)
@@ -122,7 +121,7 @@ def _construct_decycling(
     for node in cover.isolated_nodes:
         cyc = d.cycles[alive[node]]
         picks.add(min(cyc.vertices, key=lambda v: (on_alive[v] > 1, v)))
-    return certify(g, stripped_labels | picks), cover
+    return certify(g, stripped_labels | picks)
 
 
 def decycle_tree_ci(
@@ -145,7 +144,7 @@ def decycle_general(
     ``InvalidDecompositionError`` unless ``d`` decomposes ``g``.
     """
     _require_valid(g, d)
-    return _construct_decycling(g, d, ci)[0]
+    return _construct_decycling(g, d, ci)
 
 
 # -- exhaustive oracle --------------------------------------------------------
@@ -308,14 +307,14 @@ def _report(
         edge_count_bound = bound_edge_count(ci)
         witnesses["edge_count"] = certify(g, (l.label for l in ci.links))
 
-    # on a forest CI the general construction is the tree construction
-    # and its cover is msf(ci); otherwise the diagnostic needs only the
-    # size of a minimum forest cover of ci
-    general_set, cover = _construct_decycling(g, d, ci)
+    # on a forest CI the general construction is the tree construction,
+    # and its witness has the size of a minimum forest cover (nothing is
+    # stripped, no vertex picked twice); otherwise only that size is needed
+    general_set = _construct_decycling(g, d, ci)
     tree_exact = None
     if rank == 0:
         witnesses["tree"] = general_set
-        tree_exact = min_cover = cover.size
+        tree_exact = min_cover = len(general_set)
     else:
         min_cover = cover_size(ci)
     witnesses["general"] = general_set

@@ -228,10 +228,8 @@ def parse_edge_list(source) -> Multigraph:
     First non-comment line is ``n m`` with ``n`` at most
     ``MAX_HEADER_VERTICES``; each following line is an edge ``u v`` with
     ``0 <= u, v < n`` and ``u != v``. Lines starting with ``#`` are
-    comments. ``source`` may be text, bytes, or a file-like object.
+    comments. ``source`` is text or UTF-8 bytes.
     """
-    if hasattr(source, "read"):
-        source = source.read()
     if isinstance(source, (bytes, bytearray)):
         source = source.decode("utf-8")
     n = m = None
@@ -288,8 +286,8 @@ def to_edge_list(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Multigraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Multigraph) -> str:
+    lines = ["graph G {"]
     for v in g.vertices:
         lines.append(f"  {v};")
     for eid, u, v in g.edges():

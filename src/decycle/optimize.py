@@ -83,7 +83,7 @@ def optimize_decomposition(
         if sk is None:
             sk = d.sort_key
         if sk not in bounds:
-            bounds[sk] = len(_construct_decycling(g, d, _build_ci(d))[0])
+            bounds[sk] = len(_construct_decycling(g, d, _build_ci(d)))
         return base - len(d), bounds[sk], sk
 
     def consider(sk: Optional[tuple], d: CycleDecomposition) -> int:

@@ -137,7 +137,7 @@ def test_rank_zero_iff_forest():
             if rng.random() < 0.4
         ]
         links = tuple(Link(a, b, 0) for a, b in pairs)
-        ci = restrict_ci(CIGraph(n, links), list(range(n)))[0]
+        ci = restrict_ci(CIGraph(n, links), list(range(n)))
         forest = _is_forest_pairs(n, pairs)
         assert (cycle_rank(ci) == 0) == forest
 
@@ -161,9 +161,11 @@ def _is_forest_pairs(n, pairs):
 
 def test_restrict_ci():
     ci = path_ci(3)
-    sub, mapping = restrict_ci(ci, [0, 1, 3])
-    assert sub.node_count == 3 and mapping == [0, 1, 3]
+    sub = restrict_ci(ci, [0, 1, 3])
+    assert sub.node_count == 3
     assert [l.pair() for l in sub.links] == [(0, 1)]
+    # new node i is the i-th smallest kept node
+    assert restrict_ci(ci, [3, 1, 2]).links == (Link(0, 1, 101), Link(1, 2, 102))
     assert cycle_rank(sub) == 0
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import refuse_graph_build
-from decycle import cli
+from decycle import cli, multigraph
 from decycle.cigraph import build_ci
 from decycle.cigraph import to_dot as ci_to_dot
 from decycle.cli import main
@@ -79,7 +79,7 @@ def test_analyze_rejects_odd_graph(tmp_path, capsys):
     p.write_text("3 2\n0 1\n1 2\n")
     code, _, err = run(capsys, "analyze", str(p))
     assert code == 2
-    assert "even" in err
+    assert err == "error: graph is not even: some vertex has odd degree\n"
 
 
 def test_analyze_reads_file_and_stdin_dash_is_file_only(tmp_path, capsys):
@@ -160,7 +160,44 @@ def test_analyze_disconnected_summed_vs_rejected(tmp_path, capsys):
     assert "component 0" in out and "total" in out
     assert "exact (oracle)   : 2" in out
     code, _, err = run(capsys, "analyze", str(p), "--connected-only")
-    assert code == 2 and "disconnected" in err
+    assert code == 2
+    assert err == "error: graph is disconnected; analyze components separately\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "doubled_cycle", "--k", "3"],
+        ["--family", "random_even", "--n", "12", "--cycles", "5", "--seed", "3"],
+        ["--family", "cycle_tree", "--nodes", "40", "--seed", "2"],
+    ],
+    ids=["doubled_cycle", "random_even", "cycle_tree"],
+)
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_analyze_connected_only_matches_default_on_connected_graph(
+    capsys, argv, fmt
+):
+    code, out, _ = run(capsys, "analyze", *argv, *fmt)
+    assert code == 0
+    assert run(capsys, "analyze", *argv, *fmt, "--connected-only") == (code, out, "")
+
+
+@pytest.mark.parametrize("flags", [[], ["--connected-only"]], ids=["default", "connected_only"])
+def test_analyze_checks_evenness_once(monkeypatch, capsys, flags):
+    # the library is the only domain gate on the CLI path
+    calls = []
+    is_even = multigraph.is_even
+
+    def counted(g):
+        calls.append(g)
+        return is_even(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("decycle") and getattr(module, "is_even", None) is is_even:
+            monkeypatch.setattr(module, "is_even", counted)
+    argv = ["analyze", "--family", "random_even", "--n", "7", "--cycles", "3"]
+    assert run(capsys, *argv, *flags)[0] == 0
+    assert len(calls) == 1
 
 
 def test_analyze_pinned_decomposition(tmp_path, capsys):
@@ -466,6 +503,8 @@ def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
         ["analyze", "definitely-not-here.txt"],
         ["analyze", "{dir}"],
         ["analyze", "--family", "cycle", "--k", "4", "--decomposition", "{dir}"],
+        # the decomposition file is read before the library's domain check
+        ["analyze", "{odd}", "--decomposition", "{dir}/missing.json"],
         ["analyze", "--family", "cycle", "--k", "4", "--dot", "{file}/sub"],
         ["gen", "--family", "cycle", "--k", "4", "-o", "{dir}/missing/x"],
     ],
@@ -473,6 +512,7 @@ def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
         "missing_input",
         "input_is_dir",
         "decomposition_is_dir",
+        "odd_graph_decomposition_missing",
         "dot_under_file",
         "gen_output_in_missing_dir",
     ],
@@ -480,8 +520,10 @@ def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
 def test_missing_file_reports_usage_error(capsys, tmp_path, argv):
     a_file = tmp_path / "a_file"
     a_file.write_text("")
+    odd = tmp_path / "path.txt"
+    odd.write_text("3 2\n0 1\n1 2\n")
     code, _, err = run(
-        capsys, *(arg.format(dir=tmp_path, file=a_file) for arg in argv)
+        capsys, *(arg.format(dir=tmp_path, file=a_file, odd=odd) for arg in argv)
     )
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err

@@ -100,3 +100,22 @@ def test_tightness_table_matches_golden(capsys, tmp_path):
             assert exact <= int(row["edge_bound"])
         if row["rank"] == "0":  # a forest CI: the bound is the exact value
             assert int(row["general"]) == exact
+
+
+# the optimization table: the 108 random_even graphs with n 5-8, cycles
+# 2-4 and seeds 0-11 that have at most 16 edges (chosen by edge count
+# alone), under greedy, local search (budget 200) and exhaustive search
+OPTIMIZE_SPEC = GOLDEN / "optimize_spec.json"
+
+
+def test_optimize_table_matches_golden(capsys, tmp_path):
+    csv_path = tmp_path / "optimize.csv"
+    assert main(["bench", str(OPTIMIZE_SPEC), "--output", str(csv_path)]) == 0
+    capsys.readouterr()
+    assert csv_path.read_bytes() == (GOLDEN / "optimize.csv").read_bytes()
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3 * 108
+    for row in rows:
+        assert int(row["n_edges"]) <= 16
+        assert int(row["exact"]) <= int(row["general"])
