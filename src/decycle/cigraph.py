@@ -13,8 +13,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import NamedTuple
+from itertools import combinations, groupby
+from operator import itemgetter
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .decompose import CycleDecomposition, _require_valid
 from .multigraph import Multigraph, find_root
@@ -33,33 +35,63 @@ class Link(NamedTuple):
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CIGraph:
-    """A node per cycle and the links between them, sorted by (a, b,
-    label); every other quantity is derived from the links."""
+    """A node per cycle and, per node pair that shares graph vertices,
+    its bundle: the labels of those vertices in ascending order. A
+    bundle of k labels stands for k parallel links. Compared by value;
+    ``bundles`` is read-only and every other quantity derives from it.
+
+    ``CIGraph(node_count, links)`` takes the links in any order.
+    """
 
     node_count: int
-    links: tuple[Link, ...]
+    bundles: Mapping[tuple[int, int], tuple[int, ...]]
+
+    def __init__(self, node_count: int, links: Iterable[Link] = ()) -> None:
+        grouped = groupby(sorted(links), itemgetter(0, 1))
+        bundles = {pair: tuple(l[2] for l in group) for pair, group in grouped}
+        _init_ci(self, node_count, bundles)
+
+    def __hash__(self) -> int:
+        return hash((self.node_count, frozenset(self.bundles.items())))
+
+    def __reduce__(self):  # a mapping proxy cannot be pickled or copied
+        return _ci_of, (self.node_count, dict(self.bundles))
 
     @cached_property
-    def bundles(self) -> dict[tuple[int, int], list[Link]]:
-        """The links grouped by node pair, pairs and links in link order;
-        a pair's list holds one link unless it is a parallel bundle.
-        Computed once per graph; callers must not modify it."""
-        bundles: dict[tuple[int, int], list[Link]] = {}
-        for link in self.links:
-            pair = (link.a, link.b)
-            if pair in bundles:
-                bundles[pair].append(link)
-            else:
-                bundles[pair] = [link]
-        return bundles
+    def links(self) -> tuple[Link, ...]:
+        """Every link, sorted by (a, b, label). Derived on first use:
+        the bounds read the bundles and never need it."""
+        return tuple(
+            Link(a, b, label)
+            for (a, b), labels in sorted(self.bundles.items())
+            for label in labels
+        )
 
     def to_json_obj(self) -> dict:
         return {
             "nodes": self.node_count,
             "links": [[l.a, l.b, l.label] for l in self.links],
         }
+
+
+def _init_ci(ci: CIGraph, node_count: int, bundles: dict) -> CIGraph:
+    """Set the fields of ``ci``. ``bundles`` maps each pair to a tuple
+    of its labels in ascending order; it is wrapped, not copied."""
+    object.__setattr__(ci, "node_count", node_count)
+    object.__setattr__(ci, "bundles", MappingProxyType(bundles))
+    return ci
+
+
+def _ci_of(node_count: int, bundles: dict) -> CIGraph:
+    """A ``CIGraph`` made straight from its bundles, with no links."""
+    return _init_ci(object.__new__(CIGraph), node_count, bundles)
+
+
+def _link_count(ci: CIGraph) -> int:
+    """The number of links, parallel ones counted one by one."""
+    return sum(map(len, ci.bundles.values()))
 
 
 @dataclass(frozen=True)
@@ -87,15 +119,23 @@ def build_ci(g: Multigraph, d: CycleDecomposition) -> CIGraph:
 
 def _build_ci(d: CycleDecomposition) -> CIGraph:
     """``build_ci`` for a decomposition already known to be valid: each
-    vertex links every pair of the cycles through it."""
+    vertex, in ascending order, adds its label to the bundle of every
+    pair of the cycles through it."""
     through: dict[int, list[int]] = {}
     for i, cyc in enumerate(d.cycles):
         for v in cyc.vertices:
-            through.setdefault(v, []).append(i)
-    triples = sorted(  # (a, b, label) order, as CIGraph promises
-        (i, j, v) for v, on in through.items() for i, j in combinations(on, 2)
-    )
-    return CIGraph(len(d.cycles), tuple(map(Link._make, triples)))
+            if v in through:
+                through[v].append(i)
+            else:
+                through[v] = [i]
+    bundles: dict[tuple[int, int], tuple[int, ...]] = {}
+    get = bundles.get
+    for v in sorted(through):
+        on = through[v]
+        if len(on) > 1:
+            for pair in combinations(on, 2):
+                bundles[pair] = get(pair, ()) + (v,)
+    return _ci_of(len(d.cycles), bundles)
 
 
 def _closing_links(node_count: int, links) -> list:
@@ -121,27 +161,32 @@ def _closing_links(node_count: int, links) -> list:
 
 def is_simple(ci: CIGraph) -> bool:
     """True iff no two links join the same node pair."""
-    return len(ci.bundles) == len(ci.links)
+    return max(map(len, ci.bundles.values()), default=1) == 1
 
 
 def cycle_rank(ci: CIGraph) -> int:
     """First Betti number: links - nodes + components. Parallel links
     close a cycle each, so only the node pairs need a union-find."""
     pairs = ci.bundles
-    return len(ci.links) - len(pairs) + len(_closing_links(ci.node_count, pairs))
+    return _link_count(ci) - len(pairs) + len(_closing_links(ci.node_count, pairs))
 
 
 def restrict_ci(ci: CIGraph, keep: list[int]) -> CIGraph:
     """CI subgraph induced on ``keep``; node i of the subgraph is the
-    i-th smallest node of ``keep``."""
+    i-th smallest node of ``keep``. ``ValueError`` for a repeated node
+    or one not in ``ci``."""
     keep = sorted(keep)
     index = {old: new for new, old in enumerate(keep)}
-    links = tuple(
-        Link(index[l.a], index[l.b], l.label)
-        for l in ci.links
-        if l.a in index and l.b in index
-    )
-    return CIGraph(len(keep), links)
+    if len(index) < len(keep):
+        raise ValueError("keep repeats a node")
+    if keep and not (0 <= keep[0] and keep[-1] < ci.node_count):
+        raise ValueError(f"keep has a node outside 0..{ci.node_count - 1}")
+    bundles = {
+        (index[a], index[b]): labels
+        for (a, b), labels in ci.bundles.items()
+        if a in index and b in index
+    }
+    return _ci_of(len(keep), bundles)
 
 
 # -- exact maximum matching -------------------------------------------------
@@ -218,7 +263,7 @@ def _augment(
 def _max_mates(ci: CIGraph) -> tuple[list[list[int]], list[int]]:
     """Adjacency lists of the collapsed simple graph and a maximum
     matching of it as a mate array (-1 unmatched): a greedy maximal
-    matching in pair order, then one augmenting search from each free
+    matching in bundle order, then one augmenting search from each free
     node. No later augmentation can start from a node that had none."""
     n = ci.node_count
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -239,9 +284,9 @@ def max_matching(ci: CIGraph) -> tuple[Link, ...]:
     """A maximum-cardinality matching of the collapsed simple graph.
 
     Exact on non-bipartite graphs. Among all maximum matchings the one
-    chosen is lexicographically first in link order, so results are
-    reproducible run to run. Each pair is represented by the first link
-    of its bundle in link order.
+    chosen is lexicographically first in pair order, so results are
+    reproducible run to run. Each pair is represented by the link of
+    the smallest label in its bundle.
     """
     bundles = ci.bundles
     adj, match = _max_mates(ci)
@@ -269,7 +314,7 @@ def max_matching(ci: CIGraph) -> tuple[Link, ...]:
             match[a], match[c], match[b], match[d] = c, a, d, b
             gone[a] = gone[b] = False
             continue
-        chosen.append(bundles[(a, b)][0])
+        chosen.append(Link(a, b, bundles[(a, b)][0]))
     return tuple(chosen)
 
 

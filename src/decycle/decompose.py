@@ -166,12 +166,14 @@ def _decompose_greedy(g: Multigraph, seed: int) -> CycleDecomposition:
             v, last = start, None
             while v not in position:
                 position[v] = len(position)
-                # a simple path touches its end only through its last edge
+                # a simple path touches its end only through its last
+                # edge: draw over the other options, stepping past it
                 options = incident[v]
-                if last is not None:
-                    options = options.copy()
-                    options.remove(last)
-                last = options[_first_after_shuffle(getrandbits, len(options))]
+                size = len(options) if last is None else len(options) - 1
+                j = _first_after_shuffle(getrandbits, size) if size > 1 else 0
+                if last is not None and j >= options.index(last):
+                    j += 1
+                last = options[j]
                 path_edges.append(last)
                 u, w = ends[last]
                 v = w if v == u else u

@@ -20,9 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Iterable, Optional
 
-from .cigraph import CIGraph, Link, _build_ci, _closing_links
+from .cigraph import CIGraph, _build_ci, _closing_links, _link_count
 from .cigraph import cover_size, cycle_rank, is_simple, msf, restrict_ci
 from .decompose import CycleDecomposition, _decompose_greedy, _require_valid
 from .errors import (
@@ -58,7 +59,7 @@ def certify(g: Multigraph, vertices: Iterable[int]) -> DecyclingSet:
 
 def bound_edge_count(ci: CIGraph) -> int:
     """Upper bound on the decycling number: the CI link count."""
-    return len(ci.links)
+    return _link_count(ci)
 
 
 # -- construction from CI structure ------------------------------------------
@@ -71,28 +72,29 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
     Labels that recur across bundles are dropped preferentially so the
     same graph vertex pays for several removals.
     """
-    bundles = ci.bundles.values()
-    multi_labels: dict[int, int] = {}
-    for links in bundles:
-        if len(links) > 1:
-            for link in links:
-                multi_labels[link.label] = multi_labels.get(link.label, 0) + 1
+    parallel: dict[int, int] = {}  # label -> its links in parallel bundles
+    for labels in ci.bundles.values():
+        if len(labels) > 1:
+            for label in labels:
+                parallel[label] = parallel.get(label, 0) + 1
+    count = parallel.__getitem__
     removed: set[int] = set()
-    survivors: list[Link] = []
-    for links in bundles:
-        keep = links[0]
-        if len(links) > 1:
-            best = (multi_labels[keep.label], keep.label)
-            for link in links:
-                key = (multi_labels[link.label], link.label)
-                if key < best:
-                    keep, best = link, key
-            removed.update(link.label for link in links if link is not keep)
-        survivors.append(keep)
+    survivors: list[tuple[int, int, int]] = []
+    for (a, b), labels in ci.bundles.items():
+        if len(labels) > 1:
+            # labels ascend, so ties go to the smallest label
+            keep = min(labels, key=count)
+            removed.update(label for label in labels if label != keep)
+        else:
+            keep = labels[0]
+        survivors.append((a, b, keep))
     # feedback links of the remaining simple graph: grow a spanning
     # forest, preferring to keep links whose labels are not yet paid for
-    survivors.sort(key=lambda l: (l.label in removed, l.label, l.a, l.b))
-    removed.update(l.label for l in _closing_links(ci.node_count, survivors))
+    survivors.sort(key=itemgetter(2, 0, 1))
+    unpaid = [link for link in survivors if link[2] not in removed]
+    paid = [link for link in survivors if link[2] in removed]
+    closing = _closing_links(ci.node_count, chain(unpaid, paid))
+    removed.update(label for _, _, label in closing)
     return removed
 
 
@@ -112,9 +114,14 @@ def _construct_decycling(
         for i, cyc in enumerate(d.cycles)
         if stripped_labels.isdisjoint(cyc.vertices)
     ]
-    sub_ci = restrict_ci(ci, alive)
+    if not stripped_labels:
+        sub_ci = ci
+    else:
+        sub_ci = restrict_ci(ci, alive) if alive else CIGraph(0)
     if cycle_rank(sub_ci) != 0:
         raise InvariantError("surviving cycles still form a cyclic CI graph")
+    if not alive:
+        return certify(g, stripped_labels)
     cover = msf(sub_ci)
     on_alive = Counter(v for i in alive for v in d.cycles[i].vertices)
     picks = {link.label for link in cover.chosen_links}
@@ -299,13 +306,14 @@ def _report(
     """``analyze`` of a connected even graph and a valid decomposition."""
     ci = _build_ci(d)
     rank = cycle_rank(ci)
+    n_links = bound_edge_count(ci)
     witnesses: dict[str, DecyclingSet] = {}
 
     linked = set(chain.from_iterable(ci.bundles))
     edge_count_bound = None
     if len(linked) == ci.node_count:  # every cycle meets another one
-        edge_count_bound = bound_edge_count(ci)
-        witnesses["edge_count"] = certify(g, (l.label for l in ci.links))
+        edge_count_bound = n_links
+        witnesses["edge_count"] = certify(g, chain.from_iterable(ci.bundles.values()))
 
     # on a forest CI the general construction is the tree construction,
     # and its witness has the size of a minimum forest cover (nothing is
@@ -334,7 +342,7 @@ def _report(
         n_vertices=g.n_vertices,
         n_edges=g.n_edges,
         ci_nodes=ci.node_count,
-        ci_links=len(ci.links),
+        ci_links=n_links,
         ci_rank=rank,
         ci_simple=is_simple(ci),
         rank_cover_gap=rank - min_cover,

@@ -2,6 +2,7 @@ import math
 import random
 from itertools import combinations, islice
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +170,55 @@ def test_restrict_ci():
     assert cycle_rank(sub) == 0
 
 
+def test_restrict_ci_rejects_repeated_or_unknown_nodes():
+    # a repeated node used to count twice: [0, 0, 1] gave three nodes
+    ci = path_ci(3)
+    for keep in ([0, 0, 1], [0, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            restrict_ci(ci, keep)
+
+
+def built_ci(n, cycles, seed):
+    """The CI of a greedy decomposition of a random even multigraph,
+    digons included."""
+    g = random_even(n, cycles, seed=seed)
+    return build_ci(g, decompose_greedy(g, seed=seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), cycles=st.integers(1, 6), seed=st.integers(0, 10_000))
+def test_links_round_trip_keeps_the_bundles(n, cycles, seed):
+    # the build makes bundles, not links; the links derived from them
+    # are sorted and give back an equal CI with the same bundles
+    ci = built_ci(n, cycles, seed)
+    assert ci.links == tuple(sorted(ci.links))
+    again = CIGraph(ci.node_count, ci.links)
+    assert again == ci and hash(again) == hash(ci)
+    assert dict(again.bundles) == dict(ci.bundles)
+    assert all(list(ls) == sorted(set(ls)) for ls in ci.bundles.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    cycles=st.integers(1, 6),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_restrict_ci_agrees_with_restricting_the_links(n, cycles, seed, data):
+    ci = built_ci(n, cycles, seed)
+    keep = data.draw(st.lists(st.integers(0, ci.node_count - 1), unique=True))
+    index = {old: new for new, old in enumerate(sorted(keep))}
+    links = tuple(
+        Link(index[a], index[b], label)
+        for a, b, label in ci.links
+        if a in index and b in index
+    )
+    sub = restrict_ci(ci, keep)
+    assert sub == CIGraph(len(keep), links)
+    assert sub.links == links
+
+
 # -- matching -----------------------------------------------------------------
 
 
@@ -267,7 +317,7 @@ def test_bundles_group_links_by_pair_in_link_order(ci):
     pairs = list(dict.fromkeys(l.pair() for l in ci.links))
     assert list(ci.bundles) == pairs
     for pair in pairs:
-        assert ci.bundles[pair] == [l for l in ci.links if l.pair() == pair]
+        assert ci.bundles[pair] == tuple(l.label for l in ci.links if l.pair() == pair)
     assert is_simple(ci) == (len(pairs) == len(ci.links))
 
 

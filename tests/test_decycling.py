@@ -13,6 +13,7 @@ from decycle.decompose import (
     enumerate_decompositions,
 )
 from decycle.decycling import (
+    _strip_to_forest,
     analyze,
     analyze_components,
     bound_edge_count,
@@ -375,6 +376,36 @@ def test_analyze_matches_separate_routes(family, size, seed):
     assert obj["bounds"] == bounds
     assert obj["witnesses"] == witnesses
     assert obj["rank_cover_gap"] == gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 12), cycles=st.integers(2, 6), seed=st.integers(0, 50_000))
+def test_strip_ignores_the_bundle_order(n, cycles, seed):
+    # the build lists pairs by their smallest shared vertex, the
+    # constructor in link order; the strip gives the same labels for both
+    g = random_even(n, cycles, seed=seed)
+    built = build_ci(g, decompose_greedy(g, seed))
+    in_link_order = CIGraph(built.node_count, built.links)
+    assert list(in_link_order.bundles) == sorted(built.bundles)
+    assert _strip_to_forest(built) == _strip_to_forest(in_link_order)
+
+
+def test_analyze_never_derives_the_links(monkeypatch):
+    # every bound reads the bundles; only output and tests need the
+    # sorted links, and a dense CI has over a thousand of them
+    derived = []
+    links = CIGraph.links
+
+    def counted(ci):
+        derived.append(ci)
+        return links.func(ci)
+
+    monkeypatch.setattr(CIGraph, "links", property(counted))
+    g = random_even(40, 16, seed=3)
+    report = analyze(g, seed=3)
+    assert derived == [] and report.ci_links > 1000
+    assert len(build_ci(g, report.decomposition).links) == report.ci_links
+    assert len(derived) == 1
 
 
 # sha256 over the JSON of every report of ``analyze_sweep`` and the
