@@ -18,7 +18,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .decompose import CycleDecomposition, _require_valid
+from .decompose import CycleDecomposition, _require_valid, _vertex_cycles
 from .multigraph import Multigraph, find_root
 
 
@@ -89,11 +89,6 @@ def _ci_of(node_count: int, bundles: dict) -> CIGraph:
     return _init_ci(object.__new__(CIGraph), node_count, bundles)
 
 
-def _link_count(ci: CIGraph) -> int:
-    """The number of links, parallel ones counted one by one."""
-    return sum(map(len, ci.bundles.values()))
-
-
 @dataclass(frozen=True)
 class ForestCover:
     """Acyclic links plus isolated nodes covering every CI node.
@@ -121,13 +116,7 @@ def _build_ci(d: CycleDecomposition) -> CIGraph:
     """``build_ci`` for a decomposition already known to be valid: each
     vertex, in ascending order, adds its label to the bundle of every
     pair of the cycles through it."""
-    through: dict[int, list[int]] = {}
-    for i, cyc in enumerate(d.cycles):
-        for v in cyc.vertices:
-            if v in through:
-                through[v].append(i)
-            else:
-                through[v] = [i]
+    through = _vertex_cycles(d.cycles)
     bundles: dict[tuple[int, int], tuple[int, ...]] = {}
     get = bundles.get
     for v in sorted(through):
@@ -164,11 +153,17 @@ def is_simple(ci: CIGraph) -> bool:
     return max(map(len, ci.bundles.values()), default=1) == 1
 
 
+def bound_edge_count(ci: CIGraph) -> int:
+    """Upper bound on the decycling number: the CI link count, parallel
+    links counted one by one."""
+    return sum(map(len, ci.bundles.values()))
+
+
 def cycle_rank(ci: CIGraph) -> int:
     """First Betti number: links - nodes + components. Parallel links
     close a cycle each, so only the node pairs need a union-find."""
     pairs = ci.bundles
-    return _link_count(ci) - len(pairs) + len(_closing_links(ci.node_count, pairs))
+    return bound_edge_count(ci) - len(pairs) + len(_closing_links(ci.node_count, pairs))
 
 
 def restrict_ci(ci: CIGraph, keep: list[int]) -> CIGraph:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
-from .errors import InvalidDecompositionError, NotEvenError, ParseError
-from .multigraph import Multigraph, is_even
+from .errors import InvalidDecompositionError, ParseError
+from .multigraph import Multigraph, _require_even
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,8 +141,7 @@ def decompose_greedy(g: Multigraph, seed: int = 0) -> CycleDecomposition:
     soon as it revisits a vertex and that cycle is extracted. Evenness
     guarantees the walk never gets stuck, so all edges get covered.
     """
-    if not is_even(g):
-        raise NotEvenError("graph is not even")
+    _require_even(g)
     return _decompose_greedy(g, seed)
 
 
@@ -150,12 +149,8 @@ def _decompose_greedy(g: Multigraph, seed: int) -> CycleDecomposition:
     """``decompose_greedy`` of a graph already known to be even."""
     getrandbits = random.Random(seed).getrandbits
     # the residual edges at each vertex, in id order
-    incident: dict[int, list[int]] = {v: [] for v in g.vertices}
-    ends: dict[int, tuple[int, int]] = {}
-    for eid, u, v in g.edges():
-        incident[u].append(eid)
-        incident[v].append(eid)
-        ends[eid] = (u, v)
+    incident = {v: list(flat[::2]) for v, flat in g._adjacency.items()}
+    ends = g._edges
     cycles: list[Cycle] = []
     # removing edges never gives a lower vertex residual edges back, so
     # one ascending sweep finds the start of every walk
@@ -217,7 +212,8 @@ def _first_after_shuffle(getrandbits, size: int) -> int:
 # calls itself is a reference cycle, which keeps every search alive until
 # the cyclic garbage collector runs.
 
-Adjacency = dict[int, list[tuple[int, int]]]  # vertex -> [(edge id, other end)]
+# vertex -> [edge id, other end, edge id, other end, ...]
+Adjacency = Mapping[int, Sequence[int]]
 
 
 def _cycles_through(
@@ -234,7 +230,9 @@ def _cycles_through(
     on_path = {start, first}
     branches = [iter(adjacency[first])]  # the untried edges at each path vertex
     while branches:
-        for f, w in branches[-1]:
+        untried = branches[-1]
+        for f in untried:
+            w = next(untried)  # the other end of edge f
             if f not in uncovered or f == eids[-1]:
                 continue
             if w == start:
@@ -298,17 +296,26 @@ def enumerate_decompositions(g: Multigraph) -> Iterator[CycleDecomposition]:
     the number of decompositions. Each cycle starts at the lower endpoint
     of its lowest edge id, along that edge.
     """
-    if not is_even(g):
-        raise NotEvenError("graph is not even")
-    adjacency: Adjacency = {v: [] for v in g.vertices}
-    for eid, u, v in g.edges():
-        adjacency[u].append((eid, v))
-        adjacency[v].append((eid, u))
-    for chosen in _peel(adjacency, g.endpoints, set(g.edge_ids)):
+    _require_even(g)
+    for chosen in _peel(g._adjacency, g.endpoints, set(g.edge_ids)):
         yield CycleDecomposition(_sorted_cycles(chosen))
 
 
 # -- local moves ------------------------------------------------------------
+
+
+def _vertex_cycles(cycles: tuple[Cycle, ...]) -> dict[int, list[int]]:
+    """Each vertex on ``cycles`` mapped to the ascending indices of the
+    cycles through it: the incidence the CI graph is read off."""
+    through: dict[int, list[int]] = {}
+    for i, c in enumerate(cycles):
+        for v in c.vertices:
+            if v in through:
+                through[v].append(i)
+            else:
+                through[v] = [i]
+    return through
+
 
 KeyedCycle = tuple[tuple[int, ...], Cycle]  # (sorted edge ids, cycle)
 
@@ -346,10 +353,7 @@ def _movable_subsets(
     Yields the chosen indices and the number of chosen cycles through
     each vertex; both are live and change at the next step.
     """
-    through: dict[int, list[int]] = {}
-    for i, c in enumerate(cycles):
-        for v in c.vertices:
-            through.setdefault(v, []).append(i)
+    through = _vertex_cycles(cycles)
     adjacent = [
         sorted({j for v in c.vertices for j in through[v]} - {i})
         for i, c in enumerate(cycles)
@@ -391,12 +395,12 @@ def _resplits(
     """The decompositions of the edge union of ``union`` that the move rule
     allows: every one from two cycles, only the two-cycle ones from three
     or more. ``shared`` holds the vertices on two of the cycles."""
-    adjacency: Adjacency = {}
+    adjacency: dict[int, list[int]] = {}
     for c in union:
         vs = c.vertices
         for u, w, e in zip(vs, vs[1:] + vs[:1], c.edges):
-            adjacency.setdefault(u, []).append((e, w))
-            adjacency.setdefault(w, []).append((e, u))
+            adjacency.setdefault(u, []).extend((e, w))
+            adjacency.setdefault(w, []).extend((e, u))
     uncovered = {e for c in union for e in c.edges}
     if len(union) == 2:
         return tuple(

@@ -20,29 +20,28 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Optional
 
-from .cigraph import CIGraph, _build_ci, _closing_links, _link_count
+from .cigraph import CIGraph, _build_ci, _closing_links, bound_edge_count
 from .cigraph import cover_size, cycle_rank, is_simple, msf, restrict_ci
 from .decompose import CycleDecomposition, _decompose_greedy, _require_valid
 from .errors import (
     DisconnectedError,
     InvalidDecompositionError,
     InvariantError,
-    NotEvenError,
     OracleLimitError,
 )
-from .multigraph import DecyclingSet, Multigraph, is_acyclic
-from .multigraph import is_connected, is_even
+from .multigraph import DecyclingSet, Multigraph, _require_even, is_acyclic
+from .multigraph import is_connected
 
 DEFAULT_ORACLE_LIMIT = 20
 
 
 def verify_decycling(g: Multigraph, s: Iterable[int]) -> bool:
     """True iff deleting ``s`` leaves an acyclic graph; ``ValueError``
-    for a vertex id not in ``g``."""
-    gone = {int(v) for v in s}
+    for a vertex id not in ``g``, ``TypeError`` for one not an integer."""
+    gone = {index(v) for v in s}
     unknown = gone.difference(g.vertices)
     if unknown:
         raise ValueError(f"unknown vertex id {min(unknown)}")
@@ -55,11 +54,6 @@ def certify(g: Multigraph, vertices: Iterable[int]) -> DecyclingSet:
     if not verify_decycling(g, vs):
         raise InvariantError(f"constructed set {sorted(vs)} does not decycle the graph")
     return DecyclingSet(vs, certified=True)
-
-
-def bound_edge_count(ci: CIGraph) -> int:
-    """Upper bound on the decycling number: the CI link count."""
-    return _link_count(ci)
 
 
 # -- construction from CI structure ------------------------------------------
@@ -287,8 +281,7 @@ def analyze(
     Uses the greedy decomposition when none is given. The exact value is
     filled in only when the graph fits under the oracle limit.
     """
-    if not is_even(g):
-        raise NotEvenError("graph is not even: some vertex has odd degree")
+    _require_even(g)
     if not is_connected(g):
         raise DisconnectedError(
             "graph is disconnected; analyze components separately"
@@ -358,8 +351,7 @@ def analyze_components(
     oracle_limit: Optional[int] = None,
 ) -> list[BoundReport]:
     """Analyze each connected component; bounds add across components."""
-    if not is_even(g):
-        raise NotEvenError("graph is not even: some vertex has odd degree")
+    _require_even(g)
     if d is not None:
         _require_valid(g, d)
     # a graph with no vertex has no component but is still one part

@@ -12,10 +12,11 @@ threads; every operation returns a new graph.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .errors import ParseError
+from .errors import NotEvenError, ParseError
 
 MAX_HEADER_VERTICES = 1_000_000
 
@@ -41,20 +42,22 @@ class DecyclingSet:
 class Multigraph:
     """Immutable undirected multigraph."""
 
-    __slots__ = ("_vertices", "_edges", "_incidence")
+    __slots__ = ("_vertices", "_edges", "_adjacency")
 
     def __init__(self, vertices: Iterable[int], edges) -> None:
         """Build a graph from explicit vertex ids and identified edges.
 
         ``edges`` is either a mapping ``edge id -> (u, v)`` or an iterable
         of ``(edge id, (u, v))`` pairs. Endpoints must be distinct existing
-        vertices; edge ids must be unique.
+        vertices; edge ids must be unique. Ids that are not integers
+        raise ``TypeError``.
         """
-        vertex_set = {int(v) for v in vertices}
+        index = operator.index
+        vertex_set = {index(v) for v in vertices}
         items = edges.items() if isinstance(edges, Mapping) else edges
         store: dict[int, tuple[int, int]] = {}
         for eid, (u, v) in items:
-            eid, u, v = int(eid), int(u), int(v)
+            eid, u, v = index(eid), index(u), index(v)
             if eid in store:
                 raise ValueError(f"duplicate edge id {eid}")
             if u == v:
@@ -62,14 +65,16 @@ class Multigraph:
             if u not in vertex_set or v not in vertex_set:
                 raise ValueError(f"edge {eid} references unknown vertex")
             store[eid] = (u, v) if u < v else (v, u)
-        incidence: dict[int, list[int]] = {v: [] for v in vertex_set}
-        for eid in sorted(store):
-            u, v = store[eid]
-            incidence[u].append(eid)
-            incidence[v].append(eid)
         self._vertices = tuple(sorted(vertex_set))
-        self._edges = {eid: store[eid] for eid in sorted(store)}
-        self._incidence = {v: tuple(eids) for v, eids in incidence.items()}
+        self._edges = dict(sorted(store.items()))
+        # each vertex's edges in id order, flat: edge id, other end,
+        # edge id, other end, ... (a tuple per pair would make a graph
+        # about half as large again)
+        adjacency: dict[int, list[int]] = {v: [] for v in vertex_set}
+        for eid, (u, v) in self._edges.items():
+            adjacency[u].extend((eid, v))
+            adjacency[v].extend((eid, u))
+        self._adjacency = {v: tuple(flat) for v, flat in adjacency.items()}
 
     @classmethod
     def from_edges(cls, n_vertices: int, pairs: Iterable[tuple[int, int]]) -> "Multigraph":
@@ -102,7 +107,7 @@ class Multigraph:
 
     def degree(self, v: int) -> int:
         try:
-            return len(self._incidence[v])
+            return len(self._adjacency[v]) // 2
         except KeyError:
             raise ValueError(f"unknown vertex id {v}") from None
 
@@ -118,7 +123,7 @@ class Multigraph:
 
         Surviving vertex and edge ids are unchanged.
         """
-        gone = {int(v) for v in remove}
+        gone = {operator.index(v) for v in remove}
         unknown = gone - set(self._vertices)
         if unknown:
             raise ValueError(f"unknown vertex id {min(unknown)}")
@@ -150,9 +155,7 @@ class Multigraph:
             stack = [start]
             while stack:
                 v = stack.pop()
-                for eid in self._incidence[v]:
-                    u, w = self._edges[eid]
-                    x = w if u == v else u
+                for x in self._adjacency[v][1::2]:
                     if x not in label:
                         label[x] = start
                         stack.append(x)
@@ -185,6 +188,12 @@ class Multigraph:
 def is_even(g: Multigraph) -> bool:
     """True iff every vertex has even degree (parallel edges counted)."""
     return all(g.degree(v) % 2 == 0 for v in g.vertices)
+
+
+def _require_even(g: Multigraph) -> None:
+    """The library's evenness gate: ``NotEvenError`` unless ``g`` is even."""
+    if not is_even(g):
+        raise NotEvenError("graph is not even: some vertex has odd degree")
 
 
 def is_connected(g: Multigraph) -> bool:

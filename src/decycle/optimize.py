@@ -21,8 +21,8 @@ from .decompose import (
     enumerate_decompositions,
 )
 from .decycling import _construct_decycling
-from .errors import DisconnectedError, InvariantError, NotEvenError
-from .multigraph import Multigraph, is_connected, is_even
+from .errors import DisconnectedError, InvariantError
+from .multigraph import Multigraph, _require_even, is_connected
 
 METHODS = ("exhaustive", "local_search")
 
@@ -63,8 +63,7 @@ def optimize_decomposition(
         raise ValueError(f"budget must be a positive integer, not {budget!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if not is_even(g):
-        raise NotEvenError("graph is not even: some vertex has odd degree")
+    _require_even(g)
     if not is_connected(g):
         raise DisconnectedError("graph is disconnected; optimize per component")
 

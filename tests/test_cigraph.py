@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from itertools import combinations, islice
 
@@ -196,6 +198,20 @@ def test_links_round_trip_keeps_the_bundles(n, cycles, seed):
     assert again == ci and hash(again) == hash(ci)
     assert dict(again.bundles) == dict(ci.bundles)
     assert all(list(ls) == sorted(set(ls)) for ls in ci.bundles.values())
+
+
+@pytest.mark.parametrize(
+    "copy_of", [lambda ci: pickle.loads(pickle.dumps(ci)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+def test_copies_keep_the_bundles_and_links(copy_of):
+    ci = built_ci(8, 4, 2)
+    assert not is_simple(ci)  # parallel bundles make the trip too
+    links = ci.links  # cached on ci, rebuilt on the copy
+    again = copy_of(ci)
+    assert again == ci and hash(again) == hash(ci)
+    assert dict(again.bundles) == dict(ci.bundles)
+    assert again.links == links
 
 
 @settings(max_examples=60, deadline=None)

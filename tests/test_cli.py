@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from decycle.cigraph import build_ci
 from decycle.cigraph import to_dot as ci_to_dot
 from decycle.cli import main
 from decycle.decompose import CycleDecomposition, enumerate_decompositions
+from decycle.decycling import analyze_components, merge_reports
 from decycle.errors import (
     DisconnectedError,
     InvalidDecompositionError,
@@ -89,6 +91,16 @@ def test_analyze_reads_file_and_stdin_dash_is_file_only(tmp_path, capsys):
     assert code == 0 and "exact (oracle)   : 2" in out
 
 
+def test_analyze_dash_reads_stdin(tmp_path, capsys, monkeypatch):
+    text = "3 6\n0 1\n0 1\n1 2\n1 2\n0 2\n0 2\n"
+    p = tmp_path / "dt.txt"
+    p.write_text(text)
+    from_file = run(capsys, "analyze", str(p), "--json")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, "analyze", "-", "--json") == from_file
+    assert from_file[0] == 0 and json.loads(from_file[1])["bounds"]["exact"] == 2
+
+
 def test_analyze_parse_error_is_usage_exit(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("2 1\n0 0\n")
@@ -162,6 +174,22 @@ def test_analyze_disconnected_summed_vs_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(p), "--connected-only")
     assert code == 2
     assert err == "error: graph is disconnected; analyze components separately\n"
+
+
+def test_analyze_json_lists_the_components_of_a_disconnected_graph(
+    tmp_path, capsys
+):
+    text = "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
+    p = tmp_path / "two.txt"
+    p.write_text(text)
+    code, out, _ = run(capsys, "analyze", str(p), "--json")
+    assert code == 0
+    obj = json.loads(out)
+    reports = analyze_components(parse_edge_list(text))
+    assert len(reports) == 2
+    parts = obj.pop("components")
+    assert parts == [json.loads(json.dumps(r.to_json_obj())) for r in reports]
+    assert obj == json.loads(json.dumps(merge_reports(reports).to_json_obj()))
 
 
 @pytest.mark.parametrize(

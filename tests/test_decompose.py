@@ -79,6 +79,23 @@ def test_validate_catches_bad_cycles(triangle):
     assert any("length" in p for p in decomposition_violations(triangle, short))
 
 
+def test_validate_catches_count_mismatch_and_reused_edges(triangle):
+    mismatch = CycleDecomposition((Cycle((0, 1, 2), (0, 1)),))
+    assert decomposition_violations(triangle, mismatch)[0] == (
+        "cycle 0: vertex and edge counts differ"
+    )
+    twice = CycleDecomposition((Cycle((0, 1, 2), (0, 1, 2)),) * 2)
+    assert decomposition_violations(triangle, twice) == [
+        f"cycle 1: edge {e} already used by cycle 0" for e in (0, 1, 2)
+    ]
+
+
+def test_from_json_obj_rejects_lists_of_different_lengths():
+    obj = {"cycles": [[0, 1, 2]], "edge_ids": [[0, 1, 2], [3, 4]]}
+    with pytest.raises(InvalidDecompositionError, match="differ in length"):
+        CycleDecomposition.from_json_obj(obj)
+
+
 def test_decomposition_json_round_trip(doubled_triangle):
     d = decompose_greedy(doubled_triangle, seed=3)
     again = CycleDecomposition.from_json_obj(d.to_json_obj())

@@ -31,6 +31,7 @@ from decycle.errors import (
 )
 from decycle.families import build_family, cycle_tree, random_even
 from decycle.multigraph import DecyclingSet, Multigraph
+from decycle.optimize import optimize_decomposition
 from oracles import oracle_acyclic, oracle_decycling
 
 
@@ -40,6 +41,33 @@ def test_verify_decycling(triangle, doubled_triangle):
     assert not verify_decycling(doubled_triangle, {1})
     with pytest.raises(ValueError, match="unknown vertex"):
         verify_decycling(triangle, {9})
+
+
+@pytest.mark.parametrize("s", [[0.7], ["1"]], ids=["float", "str"])
+def test_verify_decycling_rejects_non_integer_ids(s):
+    # 0.7 is not vertex 0, whose deletion would decycle the cycle
+    with pytest.raises(TypeError):
+        verify_decycling(build_family("cycle", k=3), s)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        analyze,
+        analyze_components,
+        optimize_decomposition,
+        decompose_greedy,
+        lambda g: next(enumerate_decompositions(g)),
+    ],
+    ids=["analyze", "analyze_components", "optimize_decomposition",
+         "decompose_greedy", "enumerate_decompositions"],
+)
+def test_every_library_entry_gives_the_same_evenness_error(entry):
+    path = Multigraph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(
+        NotEvenError, match="^graph is not even: some vertex has odd degree$"
+    ):
+        entry(path)
 
 
 def test_bound_edge_count(doubled_triangle):

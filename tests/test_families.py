@@ -101,6 +101,29 @@ def test_family_validation_errors():
         build_family("cycle", wrong=3)
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("doubled_cycle", {"k": 1}, "doubled_cycle needs k >= 2"),
+        ("triangle_chain", {"k": 0}, "triangle_chain needs k >= 1"),
+        ("flower", {"petals": 0, "core": 2}, "flower needs core >= 3"),
+        ("random_even", {"n": 1, "cycles": 1}, "random_even needs n >= 2"),
+        ("random_even", {"n": 4, "cycles": 0}, "random_even needs cycles >= 1"),
+        ("cycle_tree", {"nodes": 2, "min_len": 2}, "cycle_tree needs 3 <= min_len"),
+        ("cycle_tree", {"nodes": 2, "min_len": 4, "max_len": 3}, "cycle_tree needs 3"),
+    ],
+)
+def test_family_guards_refuse_out_of_domain_params(family, params, message):
+    with pytest.raises(DomainError, match=f"^{message}"):
+        build_family(family, **params)
+
+
+def test_random_even_gives_up_after_max_tries(monkeypatch):
+    monkeypatch.setattr(families, "MAX_TRIES", 0)
+    with pytest.raises(DomainError, match="in 0 tries$"):
+        random_even(4, 2, seed=1)
+
+
 def test_build_family_builds_and_bench_labels(tmp_path):
     params = {"petals": 2, "core": 4}
     assert is_even(build_family("flower", **params))

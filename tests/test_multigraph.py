@@ -70,6 +70,21 @@ def test_parse_header_vertex_limit(monkeypatch):
             parse_edge_list(f"{n} 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n", "line 1: expected header 'n m'"),
+        ("# c\n3 x\n", "line 2: expected header 'n m'"),
+        ("-1 0\n", "line 1: negative count in header"),
+        ("3 -2\n", "line 1: negative count in header"),
+        ("3 1\n0 1 2\n", "line 2: expected edge 'u v'"),
+    ],
+)
+def test_parse_rejects_bad_header_and_edge_lines(text, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_edge_list(text)
+
+
 def test_parse_empty_input():
     with pytest.raises(ParseError):
         parse_edge_list("# nothing here\n")
@@ -80,6 +95,35 @@ def test_constructor_rejects_self_loop_and_bad_vertex():
         Multigraph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError, match="unknown vertex"):
         Multigraph.from_edges(2, [(0, 5)])
+
+
+def test_constructor_rejects_duplicate_edge_id():
+    with pytest.raises(ValueError, match="^duplicate edge id 0$"):
+        Multigraph(range(3), [(0, (0, 1)), (0, (1, 2))])
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        ([0, 1.9], {}),
+        (["2"], {}),
+        ([0, 1], {0.0: (0, 1)}),
+        ([0, 1], {0: (0, 1.9)}),
+        ([1, 2], [(0, ("1", 2))]),
+    ],
+    ids=["float_vertex", "str_vertex", "float_edge_id", "float_end", "str_end"],
+)
+def test_constructor_rejects_non_integer_ids(vertices, edges):
+    # 1.9 is not vertex 1, and "2" is not vertex 2
+    with pytest.raises(TypeError):
+        Multigraph(vertices, edges)
+
+
+def test_unknown_vertex_and_edge_ids_are_refused(triangle):
+    with pytest.raises(ValueError, match="^unknown vertex id 7$"):
+        triangle.degree(7)
+    with pytest.raises(ValueError, match="^unknown edge id 5$"):
+        triangle.restricted_to_edges([0, 5])
 
 
 def test_is_even(doubled_triangle, theta_graph):
@@ -119,6 +163,12 @@ def test_delete_vertices_identity_and_examples(triangle, doubled_triangle):
 def test_delete_vertices_unknown_vertex(triangle):
     with pytest.raises(ValueError, match="unknown vertex"):
         triangle.delete_vertices({7})
+
+
+@pytest.mark.parametrize("remove", [[2.2], ["1"]], ids=["float", "str"])
+def test_delete_vertices_rejects_non_integer_ids(triangle, remove):
+    with pytest.raises(TypeError):
+        triangle.delete_vertices(remove)
 
 
 def test_edge_ids_stable_under_deletion(doubled_triangle):

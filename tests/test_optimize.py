@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from decycle import decompose, decycling, optimize
+from decycle import decompose, multigraph, optimize
 from decycle.cigraph import build_ci, cycle_rank
 from decycle.decompose import CycleDecomposition
 from decycle.decycling import analyze, exact_decycling_number
-from decycle.errors import InvariantError, NotEvenError
+from decycle.errors import DisconnectedError, InvariantError, NotEvenError
 from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
 from decycle.optimize import METHODS, optimize_decomposition
@@ -73,6 +73,13 @@ def test_errors(doubled_triangle):
     path = Multigraph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(NotEvenError):
         optimize_decomposition(path)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_rejects_disconnected_graph(method):
+    two = Multigraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    with pytest.raises(DisconnectedError, match="optimize per component"):
+        optimize_decomposition(two, method=method)
 
 
 @pytest.mark.parametrize("budget", [0, -3, 2.5, True, "7", None])
@@ -270,14 +277,14 @@ def test_bound_is_built_only_where_rank_ties(
 
 def test_evenness_is_checked_once_per_call(monkeypatch):
     calls = []
-    is_even = decompose.is_even
+    is_even = multigraph.is_even
 
     def counted(g):
         calls.append(g)
         return is_even(g)
 
-    for module in (decompose, decycling, optimize):
-        monkeypatch.setattr(module, "is_even", counted)
+    # every evenness gate goes through multigraph's is_even
+    monkeypatch.setattr(multigraph, "is_even", counted)
     g = random_even(7, 3, seed=12)
     res = optimize_decomposition(g, method="local_search", budget=200)
     assert res.evaluations == 200 and len(calls) == 1
