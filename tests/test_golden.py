@@ -1,55 +1,17 @@
 """Byte-for-byte CLI output against the files in ``tests/golden/``.
 
-Each file holds the stdout of the command of the same name below. The
-README promises the same output for the same flags and seeds, so a
-change to these files is a change to that promise.
+Each file holds the stdout of the command of the same name in
+``golden_commands.COMMANDS``. The README promises the same output for
+the same flags and seeds, so a change to these files is a change to
+that promise.
 """
 
 import csv
-from pathlib import Path
 
 import pytest
 
 from decycle.cli import main
-
-GOLDEN = Path(__file__).parent / "golden"
-
-COMMANDS = {
-    "analyze_doubled_cycle": ["analyze", "--family", "doubled_cycle", "--k", "3"],
-    "analyze_theta_json": [
-        "analyze", "--family", "theta", "--lengths", "1,2,2,2", "--json",
-    ],
-    "analyze_random_even": [
-        "analyze", "--family", "random_even", "--n", "12", "--cycles", "5",
-        "--seed", "3",
-    ],
-    "analyze_cycle_tree_json": [
-        "analyze", "--family", "cycle_tree", "--nodes", "40", "--seed", "2",
-        "--json",
-    ],
-    "optimize_exhaustive": [
-        "optimize", "--family", "doubled_cycle", "--k", "3",
-        "--method", "exhaustive",
-    ],
-    "optimize_local_search_json": [
-        "optimize", "--family", "triangle_chain", "--k", "4",
-        "--method", "local_search", "--budget", "60", "--json",
-    ],
-    # the whole local-search trajectory at the benchmark's budget of 200;
-    # the random_even run takes plateau escapes
-    "optimize_local_search_budget200_json": [
-        "optimize", "--family", "triangle_chain", "--k", "4",
-        "--method", "local_search", "--budget", "200", "--json",
-    ],
-    "optimize_local_search_random_even_json": [
-        "optimize", "--family", "random_even", "--n", "7", "--cycles", "3",
-        "--seed", "12", "--method", "local_search", "--budget", "200", "--json",
-    ],
-    "exact_random_even_json": [
-        "exact", "--family", "random_even", "--n", "10", "--cycles", "4",
-        "--seed", "1", "--json",
-    ],
-}
+from golden_commands import COMMANDS, GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
