@@ -3,7 +3,6 @@ through cycle intersection graphs of cycle decompositions."""
 
 from .cigraph import (
     CIGraph,
-    ForestCover,
     Link,
     build_ci,
     cycle_rank,
@@ -24,7 +23,6 @@ from .decycling import (
     BoundReport,
     analyze,
     analyze_components,
-    bound_edge_count,
     certify,
     decycle_general,
     decycle_tree_ci,

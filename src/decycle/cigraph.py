@@ -24,8 +24,8 @@ from .multigraph import Multigraph, find_root
 
 class Link(NamedTuple):
     """Labeled link between two cycle nodes; ``label`` is the shared
-    graph vertex. A named tuple, about half the cost of a frozen
-    dataclass to build, and a CI of a dense graph has thousands."""
+    graph vertex. The bounds read a CI's bundles and build a link only
+    per matched pair; ``CIGraph.links`` spells out every one."""
 
     a: int
     b: int
@@ -89,21 +89,6 @@ def _ci_of(node_count: int, bundles: dict) -> CIGraph:
     return _init_ci(object.__new__(CIGraph), node_count, bundles)
 
 
-@dataclass(frozen=True)
-class ForestCover:
-    """Acyclic links plus isolated nodes covering every CI node.
-
-    ``size`` counts chosen links and isolated nodes alike, one unit each.
-    """
-
-    chosen_links: tuple[Link, ...]
-    isolated_nodes: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.chosen_links) + len(self.isolated_nodes)
-
-
 def build_ci(g: Multigraph, d: CycleDecomposition) -> CIGraph:
     """Cycle intersection graph of ``d``: a node per cycle, a link per
     shared vertex per cycle pair. Raises ``InvalidDecompositionError``
@@ -153,17 +138,12 @@ def is_simple(ci: CIGraph) -> bool:
     return max(map(len, ci.bundles.values()), default=1) == 1
 
 
-def bound_edge_count(ci: CIGraph) -> int:
-    """Upper bound on the decycling number: the CI link count, parallel
-    links counted one by one."""
-    return sum(map(len, ci.bundles.values()))
-
-
 def cycle_rank(ci: CIGraph) -> int:
     """First Betti number: links - nodes + components. Parallel links
     close a cycle each, so only the node pairs need a union-find."""
     pairs = ci.bundles
-    return bound_edge_count(ci) - len(pairs) + len(_closing_links(ci.node_count, pairs))
+    links = sum(map(len, pairs.values()))
+    return links - len(pairs) + len(_closing_links(ci.node_count, pairs))
 
 
 def restrict_ci(ci: CIGraph, keep: list[int]) -> CIGraph:
@@ -314,22 +294,24 @@ def max_matching(ci: CIGraph) -> tuple[Link, ...]:
 
 
 def cover_size(ci: CIGraph) -> int:
-    """``msf(ci).size`` without choosing the cover: node count minus the
-    size of a maximum matching, any maximum matching."""
+    """The size of ``msf(ci)`` without choosing the cover: node count
+    minus the size of a maximum matching, any maximum matching."""
     unmatched = _max_mates(ci)[1].count(-1)
     return ci.node_count - (ci.node_count - unmatched) // 2
 
 
-def msf(ci: CIGraph) -> ForestCover:
-    """Minimum forest cover: a maximum matching plus isolated nodes.
+def msf(ci: CIGraph) -> tuple[tuple[Link, ...], tuple[int, ...]]:
+    """Minimum forest cover as ``(matching, isolated)``: a maximum
+    matching and the nodes it leaves unsaturated, one unit each.
 
     Leaving every unsaturated node isolated costs one unit either way,
-    so the cover size always equals node count minus matching size.
+    so the cover size ``len(matching) + len(isolated)`` always equals
+    node count minus matching size.
     """
     matching = max_matching(ci)
     saturated = {v for link in matching for v in link.pair()}
     isolated = tuple(v for v in range(ci.node_count) if v not in saturated)
-    return ForestCover(matching, isolated)
+    return matching, isolated
 
 
 def to_dot(ci: CIGraph) -> str:

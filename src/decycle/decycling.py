@@ -20,10 +20,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterable, Optional
 
-from .cigraph import CIGraph, _build_ci, _closing_links, bound_edge_count
+from .cigraph import CIGraph, _build_ci, _closing_links
 from .cigraph import cover_size, cycle_rank, is_simple, msf, restrict_ci
 from .decompose import CycleDecomposition, _decompose_greedy, _require_valid
 from .errors import (
@@ -32,16 +32,17 @@ from .errors import (
     InvariantError,
     OracleLimitError,
 )
-from .multigraph import DecyclingSet, Multigraph, _require_even, is_acyclic
-from .multigraph import is_connected
+from .multigraph import DecyclingSet, Multigraph, _id_set, _require_even
+from .multigraph import is_acyclic, is_connected
 
 DEFAULT_ORACLE_LIMIT = 20
 
 
 def verify_decycling(g: Multigraph, s: Iterable[int]) -> bool:
     """True iff deleting ``s`` leaves an acyclic graph; ``ValueError``
-    for a vertex id not in ``g``, ``TypeError`` for one not an integer."""
-    gone = {index(v) for v in s}
+    for a vertex id not in ``g``, ``TypeError`` for one not an integer
+    or a bool."""
+    gone = _id_set(s)
     unknown = gone.difference(g.vertices)
     if unknown:
         raise ValueError(f"unknown vertex id {min(unknown)}")
@@ -108,18 +109,15 @@ def _construct_decycling(
         for i, cyc in enumerate(d.cycles)
         if stripped_labels.isdisjoint(cyc.vertices)
     ]
-    if not stripped_labels:
-        sub_ci = ci
-    else:
-        sub_ci = restrict_ci(ci, alive) if alive else CIGraph(0)
-    if cycle_rank(sub_ci) != 0:
-        raise InvariantError("surviving cycles still form a cyclic CI graph")
     if not alive:
         return certify(g, stripped_labels)
-    cover = msf(sub_ci)
+    sub_ci = restrict_ci(ci, alive) if stripped_labels else ci
+    if cycle_rank(sub_ci) != 0:
+        raise InvariantError("surviving cycles still form a cyclic CI graph")
+    matching, isolated = msf(sub_ci)
     on_alive = Counter(v for i in alive for v in d.cycles[i].vertices)
-    picks = {link.label for link in cover.chosen_links}
-    for node in cover.isolated_nodes:
+    picks = {link.label for link in matching}
+    for node in isolated:
         cyc = d.cycles[alive[node]]
         picks.add(min(cyc.vertices, key=lambda v: (on_alive[v] > 1, v)))
     return certify(g, stripped_labels | picks)
@@ -129,7 +127,7 @@ def decycle_tree_ci(
     g: Multigraph, d: CycleDecomposition, ci: CIGraph
 ) -> DecyclingSet:
     """Certified decycling set of forest-cover size; requires a forest CI
-    and, like ``decycle_general``, a valid ``d``."""
+    and, like ``decycle_general``, a valid ``d`` and its ``ci``."""
     if cycle_rank(ci) != 0:
         raise InvalidDecompositionError("CI graph is cyclic; use decycle_general")
     return decycle_general(g, d, ci)
@@ -142,9 +140,12 @@ def decycle_general(
 
     On a forest CI this degenerates to ``decycle_tree_ci`` exactly: the
     strip step removes nothing and only the cover picks remain. Raises
-    ``InvalidDecompositionError`` unless ``d`` decomposes ``g``.
+    ``InvalidDecompositionError`` unless ``d`` decomposes ``g`` and
+    ``ci`` is its CI graph.
     """
     _require_valid(g, d)
+    if ci != _build_ci(d):
+        raise InvalidDecompositionError("ci is not the CI graph of the decomposition")
     return _construct_decycling(g, d, ci)
 
 
@@ -218,21 +219,29 @@ def exact_decycling_number(
 # -- full report --------------------------------------------------------------
 
 
+def _witness_size(name: str) -> property:
+    """A bound read off the witness ``name``: its size, None without one."""
+    return property(
+        lambda r: len(r.witness_sets[name]) if name in r.witness_sets else None
+    )
+
+
 @dataclass
 class BoundReport:
     """All bounds for one connected even graph, with certified witnesses.
 
-    ``edge_count_bound`` is omitted (None) when some decomposition cycle
-    meets no other cycle, because the link-label witness cannot break
+    Each bound is read off its witness, so the two cannot disagree:
+    ``general_bound``, ``tree_exact`` and ``exact`` are the sizes of the
+    ``general``, ``tree`` and ``exact`` witnesses. ``edge_count_bound``
+    is ``ci_links``, parallel links counted one by one, while its
+    witness holds each label once. A bound is None when its witness is
+    absent: there is no ``edge_count`` witness when some decomposition
+    cycle meets no other cycle, because the link-label set cannot break
     such a cycle; the tree route covers that case. ``rank_cover_gap`` is
     a diagnostic only (CI cycle rank minus forest-cover size); it can go
     negative and is never used as a bound.
     """
 
-    general_bound: int
-    edge_count_bound: Optional[int] = None
-    tree_exact: Optional[int] = None
-    exact: Optional[int] = None
     witness_sets: dict[str, DecyclingSet] = field(default_factory=dict)
     n_vertices: int = 0
     n_edges: int = 0
@@ -242,6 +251,14 @@ class BoundReport:
     ci_simple: bool = True
     rank_cover_gap: Optional[int] = None
     decomposition: Optional[CycleDecomposition] = None
+
+    general_bound = _witness_size("general")
+    tree_exact = _witness_size("tree")
+    exact = _witness_size("exact")
+
+    @property
+    def edge_count_bound(self) -> Optional[int]:
+        return self.ci_links if "edge_count" in self.witness_sets else None
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -299,43 +316,31 @@ def _report(
     """``analyze`` of a connected even graph and a valid decomposition."""
     ci = _build_ci(d)
     rank = cycle_rank(ci)
-    n_links = bound_edge_count(ci)
     witnesses: dict[str, DecyclingSet] = {}
 
     linked = set(chain.from_iterable(ci.bundles))
-    edge_count_bound = None
     if len(linked) == ci.node_count:  # every cycle meets another one
-        edge_count_bound = n_links
         witnesses["edge_count"] = certify(g, chain.from_iterable(ci.bundles.values()))
 
     # on a forest CI the general construction is the tree construction,
     # and its witness has the size of a minimum forest cover (nothing is
     # stripped, no vertex picked twice); otherwise only that size is needed
     general_set = _construct_decycling(g, d, ci)
-    tree_exact = None
     if rank == 0:
         witnesses["tree"] = general_set
-        tree_exact = min_cover = len(general_set)
-    else:
-        min_cover = cover_size(ci)
     witnesses["general"] = general_set
+    min_cover = len(general_set) if rank == 0 else cover_size(ci)
 
-    exact = None
     cap = DEFAULT_ORACLE_LIMIT if oracle_limit is None else oracle_limit
     if g.n_vertices <= cap:
-        exact, exact_set = exact_decycling_number(g, cap)
-        witnesses["exact"] = exact_set
+        witnesses["exact"] = exact_decycling_number(g, cap)[1]
 
     return BoundReport(
-        general_bound=len(general_set),
-        edge_count_bound=edge_count_bound,
-        tree_exact=tree_exact,
-        exact=exact,
         witness_sets=witnesses,
         n_vertices=g.n_vertices,
         n_edges=g.n_edges,
         ci_nodes=ci.node_count,
-        ci_links=n_links,
+        ci_links=sum(map(len, ci.bundles.values())),
         ci_rank=rank,
         ci_simple=is_simple(ci),
         rank_cover_gap=rank - min_cover,
@@ -352,13 +357,12 @@ def analyze_components(
 ) -> list[BoundReport]:
     """Analyze each connected component; bounds add across components."""
     _require_even(g)
-    if d is not None:
-        _require_valid(g, d)
     # a graph with no vertex has no component but is still one part
     parts = g.components() or [g]
     if d is None:
         part_ds = [_decompose_greedy(part, seed) for part in parts]
     else:
+        _require_valid(g, d)
         # a cycle lies in the part of any of its edges
         part_of = {e: i for i, part in enumerate(parts) for e in part.edge_ids}
         cycles: list[list] = [[] for _ in parts]
@@ -369,28 +373,16 @@ def analyze_components(
 
 
 def merge_reports(reports: list[BoundReport]) -> BoundReport:
-    """Componentwise sum of reports; optional fields survive only when
-    present in every part."""
-
-    def opt_sum(values):
-        vals = list(values)
-        if any(v is None for v in vals):
-            return None
-        return sum(vals)
-
+    """Componentwise sum of reports. A witness, and with it its bound,
+    survives only when every part has one; the parts are vertex-disjoint,
+    so the union's size is the sum of the parts' bounds."""
     witnesses: dict[str, DecyclingSet] = {}
     for name in ("edge_count", "tree", "general", "exact"):
-        if all(name in r.witness_sets for r in reports):
-            union = frozenset().union(
-                *(r.witness_sets[name].vertices for r in reports)
-            )
-            certified = all(r.witness_sets[name].certified for r in reports)
-            witnesses[name] = DecyclingSet(union, certified=certified)
+        parts = [r.witness_sets.get(name) for r in reports]
+        if None not in parts:
+            union = frozenset().union(*(w.vertices for w in parts))
+            witnesses[name] = DecyclingSet(union, all(w.certified for w in parts))
     return BoundReport(
-        general_bound=sum(r.general_bound for r in reports),
-        edge_count_bound=opt_sum(r.edge_count_bound for r in reports),
-        tree_exact=opt_sum(r.tree_exact for r in reports),
-        exact=opt_sum(r.exact for r in reports),
         witness_sets=witnesses,
         n_vertices=sum(r.n_vertices for r in reports),
         n_edges=sum(r.n_edges for r in reports),
@@ -398,6 +390,4 @@ def merge_reports(reports: list[BoundReport]) -> BoundReport:
         ci_links=sum(r.ci_links for r in reports),
         ci_rank=sum(r.ci_rank for r in reports),
         ci_simple=all(r.ci_simple for r in reports),
-        rank_cover_gap=None,
-        decomposition=None,
     )

@@ -39,6 +39,19 @@ class DecyclingSet:
         return sorted(self.vertices)
 
 
+def _as_id(x) -> int:
+    """``x`` as an integer id; ``TypeError`` for a bool or a non-integer."""
+    if isinstance(x, bool):
+        raise TypeError(f"id {x!r} is a bool, not an integer")
+    return operator.index(x)
+
+
+def _id_set(ids: Iterable) -> set[int]:
+    """The set of ``ids`` as integers, checked as by ``_as_id``; ids that
+    are exactly ``int``, the usual case, are taken as they are."""
+    return {x if x.__class__ is int else _as_id(x) for x in ids}
+
+
 class Multigraph:
     """Immutable undirected multigraph."""
 
@@ -49,15 +62,15 @@ class Multigraph:
 
         ``edges`` is either a mapping ``edge id -> (u, v)`` or an iterable
         of ``(edge id, (u, v))`` pairs. Endpoints must be distinct existing
-        vertices; edge ids must be unique. Ids that are not integers
-        raise ``TypeError``.
+        vertices; edge ids must be unique. Ids that are not integers, or
+        are bools, raise ``TypeError``.
         """
-        index = operator.index
-        vertex_set = {index(v) for v in vertices}
+        vertex_set = _id_set(vertices)
         items = edges.items() if isinstance(edges, Mapping) else edges
         store: dict[int, tuple[int, int]] = {}
         for eid, (u, v) in items:
-            eid, u, v = index(eid), index(u), index(v)
+            if not eid.__class__ is u.__class__ is v.__class__ is int:
+                eid, u, v = _as_id(eid), _as_id(u), _as_id(v)
             if eid in store:
                 raise ValueError(f"duplicate edge id {eid}")
             if u == v:
@@ -123,7 +136,7 @@ class Multigraph:
 
         Surviving vertex and edge ids are unchanged.
         """
-        gone = {operator.index(v) for v in remove}
+        gone = _id_set(remove)
         unknown = gone - set(self._vertices)
         if unknown:
             raise ValueError(f"unknown vertex id {min(unknown)}")

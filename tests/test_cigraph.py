@@ -358,33 +358,30 @@ def test_warm_started_matching_is_the_lex_first_one(ci):
 def test_cover_size_is_the_forest_cover_size(ci):
     pairs = {l.pair() for l in ci.links}
     size = oracle_min_forest_cover(ci.node_count, pairs)
-    assert cover_size(ci) == msf(ci).size == size
+    assert cover_size(ci) == sum(map(len, msf(ci))) == size
 
 
 # -- forest cover -------------------------------------------------------------
 
 
 def test_msf_examples():
-    assert msf(path_ci(3)).size == 2
+    assert sum(map(len, msf(path_ci(3)))) == 2
     for n in range(1, 7):
-        assert msf(star_ci(n)).size == n
+        assert sum(map(len, msf(star_ci(n)))) == n
     lone = CIGraph(1, ())
-    cover = msf(lone)
-    assert cover.size == 1 and cover.isolated_nodes == (0,)
+    assert msf(lone) == ((), (0,))
 
 
 def test_msf_cover_properties(doubled_triangle, theta_graph):
     for g in (doubled_triangle, theta_graph):
         for d in enumerate_decompositions(g):
             ci = build_ci(g, d)
-            cover = msf(ci)
-            touched = {v for l in cover.chosen_links for v in l.pair()}
-            assert touched.isdisjoint(cover.isolated_nodes)
-            assert touched | set(cover.isolated_nodes) == set(range(ci.node_count))
-            assert _is_forest_pairs(
-                ci.node_count, [l.pair() for l in cover.chosen_links]
-            )
-            assert cover.size == ci.node_count - len(max_matching(ci))
+            matching, isolated = msf(ci)
+            touched = {v for l in matching for v in l.pair()}
+            assert touched.isdisjoint(isolated)
+            assert touched | set(isolated) == set(range(ci.node_count))
+            assert _is_forest_pairs(ci.node_count, [l.pair() for l in matching])
+            assert len(matching) + len(isolated) == ci.node_count - len(max_matching(ci))
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,7 +392,7 @@ def test_msf_matches_brute_force_on_real_ci_graphs(n, cycles, seed):
     if ci.node_count > 7:
         return
     pairs = {l.pair() for l in ci.links}
-    assert msf(ci).size == oracle_min_forest_cover(ci.node_count, pairs)
+    assert sum(map(len, msf(ci))) == oracle_min_forest_cover(ci.node_count, pairs)
 
 
 def test_tree_ci_labels_pairwise_distinct():

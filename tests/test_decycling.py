@@ -16,7 +16,6 @@ from decycle.decycling import (
     _strip_to_forest,
     analyze,
     analyze_components,
-    bound_edge_count,
     decycle_general,
     decycle_tree_ci,
     exact_decycling_number,
@@ -43,9 +42,11 @@ def test_verify_decycling(triangle, doubled_triangle):
         verify_decycling(triangle, {9})
 
 
-@pytest.mark.parametrize("s", [[0.7], ["1"]], ids=["float", "str"])
+@pytest.mark.parametrize(
+    "s", [[0.7], ["1"], [False]], ids=["float", "str", "bool"]
+)
 def test_verify_decycling_rejects_non_integer_ids(s):
-    # 0.7 is not vertex 0, whose deletion would decycle the cycle
+    # 0.7 and False are not vertex 0, whose deletion would decycle the cycle
     with pytest.raises(TypeError):
         verify_decycling(build_family("cycle", k=3), s)
 
@@ -75,7 +76,7 @@ def test_bound_edge_count(doubled_triangle):
         d for d in enumerate_decompositions(doubled_triangle) if len(d.cycles) == 3
     )
     ci = build_ci(doubled_triangle, digons)
-    assert bound_edge_count(ci) == 3
+    assert analyze(doubled_triangle, digons).edge_count_bound == len(ci.links) == 3
     assert verify_decycling(doubled_triangle, {l.label for l in ci.links})
 
 
@@ -123,6 +124,19 @@ def test_decycle_general_theta(theta_graph):
         ci = build_ci(theta_graph, d)
         s = decycle_general(theta_graph, d, ci)
         assert len(s) == 1 and s.certified
+
+
+@pytest.mark.parametrize("construct", [decycle_general, decycle_tree_ci])
+@pytest.mark.parametrize("nodes", [2, 4])
+def test_construction_rejects_a_ci_of_another_decomposition(
+    theta_graph, construct, nodes
+):
+    # neither is d's CI; unchecked, the first gave a set that failed
+    # certification (an InvariantError) and the second an IndexError
+    d = decompose_greedy(theta_graph)
+    assert len(d.cycles) == 2
+    with pytest.raises(InvalidDecompositionError, match="not the CI graph"):
+        construct(theta_graph, d, CIGraph(nodes))
 
 
 def test_decycle_general_equals_tree_on_forest_ci():
@@ -285,6 +299,37 @@ def test_analyze_components_splits_a_given_decomposition():
     assert analyze_components(g, d, seed=4) == greedy
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    parts=st.lists(
+        st.tuples(st.integers(3, 7), st.integers(1, 3), st.integers(0, 50_000)),
+        min_size=2,
+        max_size=3,
+    ),
+    oracle_limit=st.integers(3, 20),
+)
+def test_merged_bounds_are_the_componentwise_sums(parts, oracle_limit):
+    # a disjoint union of small even graphs; a low oracle limit leaves
+    # the exact value to some parts only
+    vertices, edges = [], []
+    for n, cycles, seed in parts:
+        h = random_even(n, cycles, seed=seed)
+        base, ebase = len(vertices), len(edges)
+        assert h.vertices == tuple(range(h.n_vertices))
+        vertices += [base + v for v in h.vertices]
+        edges += [(ebase + e, (base + u, base + v)) for e, u, v in h.edges()]
+    reports = analyze_components(Multigraph(vertices, edges), oracle_limit=oracle_limit)
+    total = merge_reports(reports)
+    for name in ("edge_count_bound", "tree_exact", "general_bound", "exact"):
+        values = [getattr(r, name) for r in reports]
+        assert getattr(total, name) == (None if None in values else sum(values))
+    for rep in reports + [total]:
+        if "edge_count" in rep.witness_sets:
+            assert rep.edge_count_bound == rep.ci_links
+        else:
+            assert rep.edge_count_bound is None
+
+
 @pytest.mark.parametrize("vertices", [[], [0]])
 def test_analyze_components_of_edgeless_graph(vertices):
     # the vertexless graph has no component, yet is analysed as one part
@@ -345,8 +390,8 @@ def test_minimum_sets_cover_tree_ci():
                 isolated.add(node)
         # the structure is a forest cover, so it is at least msf-sized,
         # and it cannot exceed the set that induced it
-        assert msf(ci).size <= len(links) + len(isolated) <= value
-        assert msf(ci).size == value
+        assert sum(map(len, msf(ci))) <= len(links) + len(isolated) <= value
+        assert sum(map(len, msf(ci))) == value
 
 
 @settings(max_examples=40, deadline=None)
@@ -369,14 +414,14 @@ def _reference_report(g, seed, oracle_limit):
     running every route separately through the public functions."""
     d = decompose_greedy(g, seed)
     ci = build_ci(g, d)
-    rank, cover = cycle_rank(ci), msf(ci)
+    rank, cover = cycle_rank(ci), sum(map(len, msf(ci)))
     bounds = {"edge_count": None, "tree_exact": None, "general": None, "exact": None}
     witnesses = {}
     if {v for l in ci.links for v in l.pair()} == set(range(ci.node_count)):
-        bounds["edge_count"] = bound_edge_count(ci)
+        bounds["edge_count"] = len(ci.links)
         witnesses["edge_count"] = sorted({l.label for l in ci.links})
     if rank == 0:
-        bounds["tree_exact"] = cover.size
+        bounds["tree_exact"] = cover
         witnesses["tree"] = decycle_tree_ci(g, d, ci).sorted_vertices()
     general = decycle_general(g, d, ci)
     bounds["general"] = len(general)
@@ -384,7 +429,7 @@ def _reference_report(g, seed, oracle_limit):
     if g.n_vertices <= oracle_limit:
         bounds["exact"], exact = exact_decycling_number(g, oracle_limit)
         witnesses["exact"] = exact.sorted_vertices()
-    return bounds, witnesses, rank - cover.size
+    return bounds, witnesses, rank - cover
 
 
 @settings(max_examples=40, deadline=None)

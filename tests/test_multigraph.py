@@ -110,11 +110,15 @@ def test_constructor_rejects_duplicate_edge_id():
         ([0, 1], {0.0: (0, 1)}),
         ([0, 1], {0: (0, 1.9)}),
         ([1, 2], [(0, ("1", 2))]),
+        ([True, 0], {}),
+        ([0, 1], {False: (0, 1)}),
+        ([0, 1], {0: (True, 0), 1: (0, 1)}),
     ],
-    ids=["float_vertex", "str_vertex", "float_edge_id", "float_end", "str_end"],
+    ids=["float_vertex", "str_vertex", "float_edge_id", "float_end", "str_end",
+         "bool_vertex", "bool_edge_id", "bool_end"],
 )
 def test_constructor_rejects_non_integer_ids(vertices, edges):
-    # 1.9 is not vertex 1, and "2" is not vertex 2
+    # 1.9 is not vertex 1, "2" is not vertex 2, and True is not vertex 1
     with pytest.raises(TypeError):
         Multigraph(vertices, edges)
 
@@ -165,7 +169,9 @@ def test_delete_vertices_unknown_vertex(triangle):
         triangle.delete_vertices({7})
 
 
-@pytest.mark.parametrize("remove", [[2.2], ["1"]], ids=["float", "str"])
+@pytest.mark.parametrize(
+    "remove", [[2.2], ["1"], [True]], ids=["float", "str", "bool"]
+)
 def test_delete_vertices_rejects_non_integer_ids(triangle, remove):
     with pytest.raises(TypeError):
         triangle.delete_vertices(remove)
