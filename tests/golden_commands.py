@@ -1,8 +1,9 @@
 """The CLI commands whose stdout is pinned in ``tests/golden/``.
 
 Each file ``tests/golden/<name>.txt`` holds the stdout of
-``COMMANDS[name]``. The module needs the standard library alone, so any
-interpreter the package supports can replay the files without pytest:
+``COMMANDS[name]``. The module needs only the standard library and the
+package, so any interpreter the package supports can replay the files
+without pytest:
 
     PYTHONPATH=src python tests/golden_commands.py
 
@@ -13,6 +14,8 @@ import contextlib
 import io
 import sys
 from pathlib import Path
+
+from decycle.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,14 +67,13 @@ COMMANDS = {
 def replay() -> int:
     """Run every command and compare its stdout with its golden file;
     return the number of commands that differ."""
-    from decycle.cli import main
-
     bad = 0
     for name in sorted(COMMANDS):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(COMMANDS[name])
-        same = code == 0 and out.getvalue().encode() == (GOLDEN / f"{name}.txt").read_bytes()
+        want = (GOLDEN / f"{name}.txt").read_bytes()
+        same = code == 0 and out.getvalue().encode() == want
         bad += not same
         print(f"{'ok  ' if same else 'DIFF'} {name}")
     return bad
