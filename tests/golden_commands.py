@@ -24,6 +24,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # the total keeps the edge-count and general bounds and drops the others
 THREE_COMPONENTS = str(GOLDEN / "three_components.edges")
 
+# the edgeless graph on one vertex: no cycle, yet an empty edge-count
+# witness, unlike the lone cycle (``cycle --k 3``), which has none
+ONE_VERTEX = str(GOLDEN / "one_vertex.edges")
+
 COMMANDS = {
     "analyze_doubled_cycle": ["analyze", "--family", "doubled_cycle", "--k", "3"],
     "analyze_theta_json": [
@@ -37,6 +41,10 @@ COMMANDS = {
         "analyze", "--family", "cycle_tree", "--nodes", "40", "--seed", "2",
         "--json",
     ],
+    "analyze_one_vertex": ["analyze", ONE_VERTEX],
+    "analyze_one_vertex_json": ["analyze", ONE_VERTEX, "--json"],
+    "analyze_cycle": ["analyze", "--family", "cycle", "--k", "3"],
+    "analyze_cycle_json": ["analyze", "--family", "cycle", "--k", "3", "--json"],
     "analyze_three_components": ["analyze", THREE_COMPONENTS],
     "analyze_three_components_json": ["analyze", THREE_COMPONENTS, "--json"],
     "optimize_exhaustive": [
