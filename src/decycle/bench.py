@@ -96,6 +96,8 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
     seed = _spec_int(spec, "seed", 0)
     budget = _spec_int(spec, "budget", 200)
     oracle_limit = _spec_int(spec, "oracle_limit", None)
+    if oracle_limit is not None and oracle_limit < 0:
+        raise ParseError("bench spec 'oracle_limit' must be at least 0")
     rows: list[dict] = []
     for idx, inst in enumerate(spec["instances"]):
         if not isinstance(inst, dict) or "family" not in inst:

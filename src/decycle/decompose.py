@@ -185,24 +185,19 @@ def _first_after_shuffle(getrandbits, size: int) -> int:
     """The index of the item that ``random.shuffle`` of a list of
     ``size`` items moves to the front, drawing the same random numbers.
 
-    The shuffle swaps item i with item j_i, for i from size - 1 down to
-    1, with j_i drawn below i + 1 by ``getrandbits`` and rejection. Read
-    back from the front: swap i moves position j_i's item to i, so
-    following the swaps with j_i equal to the position tracked, for i
-    going up, finds where the front item started.
+    The shuffle swaps position i with position j_i, for i from size - 1
+    down to 1, with j_i drawn below i + 1 by ``getrandbits`` and
+    rejection. No later swap touches position i, so ``at`` need only
+    track the item that moves into position j_i.
     """
-    draws = []
+    at = list(range(size))
     for n in range(size, 1, -1):
         k = n.bit_length()
         j = getrandbits(k)
         while j >= n:
             j = getrandbits(k)
-        draws.append(j)
-    front = 0
-    for i, j in enumerate(reversed(draws), 1):
-        if j == front:
-            front = i
-    return front
+        at[j] = at[n - 1]
+    return at[0]
 
 
 # -- exhaustive enumeration by cycle peeling ---------------------------------

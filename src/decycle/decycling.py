@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -84,12 +84,11 @@ def _strip_to_forest(ci: CIGraph) -> set[int]:
             keep = labels[0]
         survivors.append((a, b, keep))
     # feedback links of the remaining simple graph: grow a spanning
-    # forest, preferring to keep links whose labels are not yet paid for
-    survivors.sort(key=itemgetter(2, 0, 1))
+    # forest over the links whose labels are not yet paid for; a paid
+    # link that closes a cycle would add a label already removed
     unpaid = [link for link in survivors if link[2] not in removed]
-    paid = [link for link in survivors if link[2] in removed]
-    closing = _closing_links(ci.node_count, chain(unpaid, paid))
-    removed.update(label for _, _, label in closing)
+    unpaid.sort(key=itemgetter(2, 0, 1))
+    removed.update(label for _, _, label in _closing_links(ci.node_count, unpaid))
     return removed
 
 
@@ -152,6 +151,13 @@ def decycle_general(
 # -- exhaustive oracle --------------------------------------------------------
 
 
+def _oracle_cap(limit: Optional[int]) -> int:
+    """The oracle's vertex limit, the default for None; refuses one below 0."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"oracle limit must be at least 0, not {limit}")
+    return DEFAULT_ORACLE_LIMIT if limit is None else limit
+
+
 def exact_decycling_number(
     g: Multigraph, limit: Optional[int] = None
 ) -> tuple[int, DecyclingSet]:
@@ -168,7 +174,7 @@ def exact_decycling_number(
     to pick cannot reach that count. Only subsets that cannot be
     decycling are skipped, so the first witness is unchanged.
     """
-    cap = DEFAULT_ORACLE_LIMIT if limit is None else limit
+    cap = _oracle_cap(limit)
     if g.n_vertices > cap:
         raise OracleLimitError(
             f"graph has {g.n_vertices} vertices, over the exhaustive-search "
@@ -298,6 +304,7 @@ def analyze(
     Uses the greedy decomposition when none is given. The exact value is
     filled in only when the graph fits under the oracle limit.
     """
+    cap = _oracle_cap(oracle_limit)
     _require_even(g)
     if not is_connected(g):
         raise DisconnectedError(
@@ -307,20 +314,27 @@ def analyze(
         d = _decompose_greedy(g, seed)
     else:
         _require_valid(g, d)
-    return _report(g, d, oracle_limit)
+    return _report(g, d, cap)
 
 
-def _report(
-    g: Multigraph, d: CycleDecomposition, oracle_limit: Optional[int]
-) -> BoundReport:
-    """``analyze`` of a connected even graph and a valid decomposition."""
+def _ci_link_count(g: Multigraph) -> int:
+    """The link count of the CI graph of every decomposition of ``g``:
+    a cycle through v uses two of its edges, so v lies on deg(v)/2
+    cycles of any decomposition and adds C(deg(v)/2, 2) links."""
+    return sum(k * (k - 1) // 2 for k in (g.degree(v) // 2 for v in g.vertices))
+
+
+def _report(g: Multigraph, d: CycleDecomposition, cap: int) -> BoundReport:
+    """``analyze`` of a connected even graph and a valid decomposition,
+    with the oracle run up to ``cap`` vertices. The CI of a connected
+    graph is connected: its rank is links - nodes + 1 (0 with no node)."""
     ci = _build_ci(d)
-    rank = cycle_rank(ci)
+    links = _ci_link_count(g)
+    rank = links - len(d) + 1 if len(d) else 0
     witnesses: dict[str, DecyclingSet] = {}
 
-    linked = set(chain.from_iterable(ci.bundles))
-    if len(linked) == ci.node_count:  # every cycle meets another one
-        witnesses["edge_count"] = certify(g, chain.from_iterable(ci.bundles.values()))
+    if len(d) != 1:  # every cycle meets another; labels lie on 2+ cycles
+        witnesses["edge_count"] = certify(g, (v for v in g.vertices if g.degree(v) > 2))
 
     # on a forest CI the general construction is the tree construction,
     # and its witness has the size of a minimum forest cover (nothing is
@@ -331,7 +345,6 @@ def _report(
     witnesses["general"] = general_set
     min_cover = len(general_set) if rank == 0 else cover_size(ci)
 
-    cap = DEFAULT_ORACLE_LIMIT if oracle_limit is None else oracle_limit
     if g.n_vertices <= cap:
         witnesses["exact"] = exact_decycling_number(g, cap)[1]
 
@@ -340,7 +353,7 @@ def _report(
         n_vertices=g.n_vertices,
         n_edges=g.n_edges,
         ci_nodes=ci.node_count,
-        ci_links=sum(map(len, ci.bundles.values())),
+        ci_links=links,
         ci_rank=rank,
         ci_simple=is_simple(ci),
         rank_cover_gap=rank - min_cover,
@@ -356,6 +369,7 @@ def analyze_components(
     oracle_limit: Optional[int] = None,
 ) -> list[BoundReport]:
     """Analyze each connected component; bounds add across components."""
+    cap = _oracle_cap(oracle_limit)
     _require_even(g)
     # a graph with no vertex has no component but is still one part
     parts = g.components() or [g]
@@ -369,7 +383,7 @@ def analyze_components(
         for c in d.cycles:
             cycles[part_of[c.edges[0]]].append(c)
         part_ds = [CycleDecomposition(tuple(cs)) for cs in cycles]
-    return [_report(p, pd, oracle_limit) for p, pd in zip(parts, part_ds)]
+    return [_report(p, pd, cap) for p, pd in zip(parts, part_ds)]
 
 
 def merge_reports(reports: list[BoundReport]) -> BoundReport:

@@ -20,7 +20,7 @@ from .decompose import (
     _moves,
     enumerate_decompositions,
 )
-from .decycling import _construct_decycling
+from .decycling import _ci_link_count, _construct_decycling
 from .errors import DisconnectedError, InvariantError
 from .multigraph import Multigraph, _require_even, is_connected
 
@@ -68,10 +68,10 @@ def optimize_decomposition(
         raise DisconnectedError("graph is disconnected; optimize per component")
 
     # A connected even graph's CI has rank
-    # sum_v C(deg(v)/2, 2) - |d| + 1, so every rank follows from |d| and
-    # one anchor, and the bound is built only for a candidate that could
-    # tie or beat the best on rank. Keys stay (rank, bound, sort_key).
-    base: Optional[int] = None
+    # sum_v C(deg(v)/2, 2) - |d| + 1 (0 with no edge), so every rank
+    # follows from |d|, and the bound is built only for a candidate that
+    # could tie or beat the best on rank. Keys stay (rank, bound, sort_key).
+    base = _ci_link_count(g) + 1 if g.n_edges else 0
     bounds: dict[tuple[tuple[int, ...], ...], int] = {}
     best: Optional[tuple[tuple, CycleDecomposition]] = None
     evaluations = 0
@@ -87,10 +87,8 @@ def optimize_decomposition(
 
     def consider(sk: Optional[tuple], d: CycleDecomposition) -> int:
         """Count an evaluation and return the rank of ``d``."""
-        nonlocal base, best, evaluations
+        nonlocal best, evaluations
         evaluations += 1
-        if base is None:
-            base = cycle_rank(_build_ci(d)) + len(d)
         rank = base - len(d)
         if best is None or rank <= best[0][0]:
             key = key_of(sk, d)

@@ -2,10 +2,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from decycle.families import build_family
+from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
 
 
@@ -45,3 +46,22 @@ def refuse_graph_build(monkeypatch):
         raise AssertionError("graph built from a size that should be refused")
 
     monkeypatch.setattr(Multigraph, "from_edges", staticmethod(refuse))
+
+
+@st.composite
+def greedy_graphs(draw):
+    """Connected even multigraphs of four families, digons included."""
+    family = draw(
+        st.sampled_from(["random_even", "doubled_cycle", "theta", "cycle_tree"])
+    )
+    seed = draw(st.integers(0, 10_000))
+    if family == "random_even":
+        n, cycles = draw(st.integers(2, 14)), draw(st.integers(1, 6))
+        return random_even(n, cycles, seed=seed)
+    if family == "doubled_cycle":
+        return build_family("doubled_cycle", k=draw(st.integers(2, 6)))
+    if family == "theta":
+        # an even number of hub-to-hub paths; length-1 paths give digons
+        lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        return build_family("theta", lengths=tuple(lengths * 2))
+    return build_family("cycle_tree", nodes=draw(st.integers(1, 12)), seed=seed)

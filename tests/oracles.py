@@ -9,10 +9,12 @@ tests every cycle subset on the package's ``Multigraph``
 subset growth in ``decompose``. ``oracle_best_decomposition`` scores every
 enumerated decomposition with the package's CI and bound, as the
 reference for the optimizer's lazy objective.
-``oracle_greedy`` reads the package's ``Multigraph`` to walk it.
+``oracle_greedy`` reads the package's ``Multigraph`` to walk it, and
+``oracle_strip`` the bundles of the package's ``CIGraph``.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 from decycle.cigraph import build_ci, cycle_rank
@@ -152,6 +154,31 @@ def _is_forest(pairs) -> bool:
             return False
         parent[ra] = rb
     return True
+
+
+def oracle_strip(ci) -> set:
+    """The labels the general bound strips from ``ci``, the plain way:
+    each parallel bundle keeps the label on the fewest parallel links
+    (the smallest on ties) and drops the others; then the kept links are
+    walked by (label, pair), those whose label is not dropped yet first,
+    and each link that closes a cycle with the links kept before it
+    drops its label."""
+    bundles = ci.bundles
+    parallel = Counter(
+        label for labels in bundles.values() if len(labels) > 1 for label in labels
+    )
+    removed, survivors = set(), []
+    for pair, labels in bundles.items():
+        keep = min(labels, key=lambda label: (parallel[label], label))
+        removed.update(label for label in labels if label != keep)
+        survivors.append((keep, pair))
+    forest = []
+    for label, pair in sorted(survivors, key=lambda s: (s[0] in removed, s)):
+        if _is_forest(forest + [pair]):
+            forest.append(pair)
+        else:
+            removed.add(label)
+    return removed
 
 
 def oracle_min_forest_cover(n_nodes, pairs) -> int:

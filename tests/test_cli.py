@@ -337,6 +337,25 @@ def test_exact_over_limit(capsys):
     assert code == 0 and "exact decycling number: 1" in out
 
 
+def test_a_negative_oracle_limit_is_a_usage_error(capsys, tmp_path):
+    # analyze used to drop the exact value and exit 0, and exact to call
+    # the 3-vertex graph over the limit (exit 2)
+    for argv in (
+        ["analyze", "--family", "cycle", "--k", "3", "--oracle-limit", "-1"],
+        ["analyze", "--family", "cycle", "--k", "3", "--oracle-limit", "-1",
+         "--connected-only"],
+        ["exact", "--family", "cycle", "--k", "3", "--oracle-limit", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: oracle limit must be at least 0, not -1\n"
+    spec_path = tmp_path / "bench.json"
+    instance = {"family": "cycle", "params": {"k": 3}}
+    spec_path.write_text(json.dumps({"instances": [instance], "oracle_limit": -1}))
+    code, _, err = run(capsys, "bench", str(spec_path))
+    assert code == 1 and "'oracle_limit' must be at least 0" in err
+
+
 def test_gen_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "--family", "flower", "--petals", "2", "--core", "3")
     assert code == 0

@@ -11,6 +11,7 @@ from decycle.cigraph import build_ci, is_simple
 from decycle.decompose import (
     Cycle,
     CycleDecomposition,
+    _first_after_shuffle,
     _movable_subsets,
     _moves,
     decompose_greedy,
@@ -21,6 +22,7 @@ from decycle.decompose import (
 from decycle.errors import InvalidDecompositionError, NotEvenError
 from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
+from conftest import greedy_graphs
 from oracles import (
     oracle_count_decompositions,
     oracle_greedy,
@@ -493,24 +495,6 @@ def test_movable_subsets_match_oracle_random(n, cycles, seed, pick):
 # -- greedy against the shuffling walk ----------------------------------------
 
 
-@st.composite
-def greedy_graphs(draw):
-    family = draw(
-        st.sampled_from(["random_even", "doubled_cycle", "theta", "cycle_tree"])
-    )
-    seed = draw(st.integers(0, 10_000))
-    if family == "random_even":
-        n, cycles = draw(st.integers(2, 14)), draw(st.integers(1, 6))
-        return random_even(n, cycles, seed=seed)
-    if family == "doubled_cycle":
-        return build_family("doubled_cycle", k=draw(st.integers(2, 6)))
-    if family == "theta":
-        # an even number of hub-to-hub paths; length-1 paths give digons
-        lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
-        return build_family("theta", lengths=tuple(lengths * 2))
-    return build_family("cycle_tree", nodes=draw(st.integers(1, 12)), seed=seed)
-
-
 @settings(max_examples=150, deadline=None)
 @given(g=greedy_graphs(), seed=st.integers(0, 2**64))
 def test_greedy_matches_the_shuffling_walk(g, seed):
@@ -518,3 +502,16 @@ def test_greedy_matches_the_shuffling_walk(g, seed):
     # it picks the same edges at every step, digons and lone options too
     d = decompose_greedy(g, seed)
     assert [(c.vertices, c.edges) for c in d.cycles] == oracle_greedy(g, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64))
+def test_first_after_shuffle_is_the_front_of_a_shuffle(seed):
+    # the same item as the shuffle's front, from the same draws: the
+    # generator ends in the same state
+    for size in range(1, 41):
+        rng, shuffled = random.Random(seed), random.Random(seed)
+        items = list(range(size))
+        shuffled.shuffle(items)
+        assert _first_after_shuffle(rng.getrandbits, size) == items[0]
+        assert rng.getstate() == shuffled.getstate()

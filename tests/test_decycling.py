@@ -1,18 +1,20 @@
 import hashlib
 import json
+from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import raw
-from decycle.cigraph import CIGraph, build_ci, cycle_rank, max_matching, msf
+from conftest import greedy_graphs, raw
+from decycle.cigraph import CIGraph, Link, build_ci, cycle_rank, max_matching, msf
 from decycle.decompose import (
     CycleDecomposition,
     decompose_greedy,
     enumerate_decompositions,
 )
 from decycle.decycling import (
+    _ci_link_count,
     _strip_to_forest,
     analyze,
     analyze_components,
@@ -31,7 +33,7 @@ from decycle.errors import (
 from decycle.families import build_family, cycle_tree, random_even
 from decycle.multigraph import DecyclingSet, Multigraph
 from decycle.optimize import optimize_decomposition
-from oracles import oracle_acyclic, oracle_decycling
+from oracles import oracle_acyclic, oracle_decycling, oracle_strip
 
 
 def test_verify_decycling(triangle, doubled_triangle):
@@ -461,6 +463,75 @@ def test_strip_ignores_the_bundle_order(n, cycles, seed):
     in_link_order = CIGraph(built.node_count, built.links)
     assert list(in_link_order.bundles) == sorted(built.bundles)
     assert _strip_to_forest(built) == _strip_to_forest(in_link_order)
+
+
+@st.composite
+def strip_cis(draw):
+    """CI graphs on 0 to 7 nodes whose labels come from a pool of six,
+    so bundles run parallel and one label sits on many pairs."""
+    n = draw(st.integers(0, 7))
+    pairs = list(combinations(range(n), 2))
+    if not pairs:
+        return CIGraph(n)
+    links = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pairs), st.integers(0, 5)),
+            max_size=30,
+            unique=True,
+        )
+    )
+    return CIGraph(n, [Link(a, b, label) for (a, b), label in links])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ci=strip_cis())
+def test_strip_matches_the_oracle_on_parallel_cis(ci):
+    assert _strip_to_forest(ci) == oracle_strip(ci)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=greedy_graphs(), seed=st.integers(0, 10_000))
+def test_strip_matches_the_oracle_on_greedy_cis(g, seed):
+    ci = build_ci(g, decompose_greedy(g, seed))
+    assert _strip_to_forest(ci) == oracle_strip(ci)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=greedy_graphs(), seed=st.integers(0, 10_000), pick=st.integers(0, 20))
+@example(g=Multigraph([], []), seed=0, pick=0)
+@example(g=Multigraph([0], []), seed=0, pick=0)
+@example(g=build_family("cycle", k=3), seed=0, pick=0)
+@example(g=build_family("doubled_cycle", k=2), seed=0, pick=0)
+def test_ci_counts_follow_from_the_degrees(g, seed, pick):
+    # every decomposition puts v on deg(v)/2 cycles, so the links, the
+    # rank of a connected graph's CI and the link labels do not depend
+    # on which decomposition is taken
+    d = next(
+        islice(enumerate_decompositions(g), pick, None), decompose_greedy(g, seed)
+    )
+    ci = build_ci(g, d)
+    report = analyze(g, d, oracle_limit=0)
+    assert report.ci_links == _ci_link_count(g) == len(ci.links)
+    assert report.ci_rank == cycle_rank(ci)
+    linked = {v for link in ci.links for v in link.pair()}
+    has_witness = "edge_count" in report.witness_sets
+    assert has_witness == (linked == set(range(len(d)))) == (len(d) != 1)
+    if has_witness:
+        labels = {link.label for link in ci.links}
+        assert report.witness_sets["edge_count"].vertices == labels
+        assert labels == {v for v in g.vertices if g.degree(v) >= 4}
+
+
+@pytest.mark.parametrize("limit", [-1, -20])
+def test_a_negative_oracle_limit_is_refused(limit):
+    g = build_family("cycle", k=3)
+    for call in (analyze, analyze_components):
+        with pytest.raises(ValueError, match="at least 0"):
+            call(g, oracle_limit=limit)
+    with pytest.raises(ValueError, match="at least 0"):
+        exact_decycling_number(g, limit)
+    # a limit of 0 still leaves the exact value out
+    assert analyze(g, oracle_limit=0).exact is None
 
 
 def test_analyze_never_derives_the_links(monkeypatch):

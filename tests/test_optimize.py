@@ -294,14 +294,15 @@ def test_evenness_is_checked_once_per_call(monkeypatch):
 
 
 def test_rank_from_size_is_checked_against_the_ci(monkeypatch):
-    # the first decomposition anchors the rank; a CI rank that disagrees
-    # with the size rule at the end is an invariant failure
+    # the rank comes from the degrees and |d|; a CI rank that disagrees
+    # with that rule at the end is an invariant failure
     calls = []
 
     def skewed(ci):
         calls.append(ci)
-        return cycle_rank(ci) + (len(calls) > 1)
+        return cycle_rank(ci) + 1
 
     monkeypatch.setattr(optimize, "cycle_rank", skewed)
     with pytest.raises(InvariantError, match="rank"):
         optimize_decomposition(random_even(7, 3, seed=12), method="exhaustive")
+    assert len(calls) == 1
