@@ -76,6 +76,19 @@ def _spec_int(spec: dict, key: str, default: Optional[int]) -> Optional[int]:
     return value
 
 
+_SPEC_KEYS = ("instances", "strategies", "seed", "budget", "oracle_limit")
+_INSTANCE_KEYS = ("id", "family", "params")
+
+
+def _refuse_unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    """A misspelt key would otherwise be ignored and its default used."""
+    for key in obj:
+        if key not in known:
+            raise ParseError(
+                f"{where} has unknown key {key!r}; expected one of {', '.join(known)}"
+            )
+
+
 def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
     """Run every instance under every strategy; returns the summary.
 
@@ -87,6 +100,7 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
     """
     if not isinstance(spec, dict) or not isinstance(spec.get("instances"), list):
         raise ParseError("bench spec must be a JSON object with an 'instances' list")
+    _refuse_unknown_keys(spec, _SPEC_KEYS, "bench spec")
     strategies = spec.get("strategies", list(STRATEGIES))
     if not isinstance(strategies, list):
         raise ParseError("bench spec 'strategies' must be a list")
@@ -104,6 +118,7 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
             raise ParseError(
                 f"bench instance {idx} must be a JSON object with a 'family'"
             )
+        _refuse_unknown_keys(inst, _INSTANCE_KEYS, f"bench instance {idx}")
         params = inst.get("params", {})
         if not isinstance(params, dict):
             raise ParseError(f"bench instance {idx} 'params' must be a JSON object")

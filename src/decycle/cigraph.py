@@ -117,19 +117,13 @@ def _closing_links(node_count: int, links) -> list:
     given order; the others form a spanning forest. A link is any
     sequence that starts with its two end nodes."""
     parent = list(range(node_count))
-    joins_left = node_count - 1
     closing = []
-    links = iter(links)
     for link in links:
         ra, rb = find_root(parent, link[0]), find_root(parent, link[1])
         if ra == rb:
             closing.append(link)
-            continue
-        parent[ra] = rb
-        joins_left -= 1
-        if not joins_left:  # a spanning tree: every later link closes
-            closing.extend(links)
-            break
+        else:
+            parent[ra] = rb
     return closing
 
 

@@ -57,9 +57,23 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+# the generator parameters that are input flags; --seed also seeds the
+# walk and the search, so it is valid with any input
+_FAMILY_FLAGS = sorted(
+    {name for family in FAMILY_NAMES for name in family_params(family)} - {"seed"}
+)
+
+
 def _load_graph(args) -> Multigraph:
     if (args.input is None) == (args.family is None):
         raise ParseError("give exactly one of an input file or --family")
+    wanted = () if args.family is None else family_params(args.family)
+    for name in _FAMILY_FLAGS:
+        if getattr(args, name) is not None and name not in wanted:
+            flag = "--" + name.replace("_", "-")
+            if args.family is None:
+                raise ParseError(f"{flag} applies only with --family")
+            raise ParseError(f"{flag} does not apply to family {args.family}")
     if args.family is not None:
         # every generator parameter is a flag of the same name
         values = {name: getattr(args, name) for name in family_params(args.family)}

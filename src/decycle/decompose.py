@@ -289,11 +289,13 @@ def enumerate_decompositions(g: Multigraph) -> Iterator[CycleDecomposition]:
     Peels cycles through the lowest uncovered edge. Removing a cycle
     leaves an even graph, so no branch dead-ends and the cost grows with
     the number of decompositions. Each cycle starts at the lower endpoint
-    of its lowest edge id, along that edge.
+    of its lowest edge id, along that edge. The cycles come in ascending
+    order of their lowest edge, which for disjoint cycles is the order of
+    their sorted edge ids.
     """
     _require_even(g)
     for chosen in _peel(g._adjacency, g.endpoints, set(g.edge_ids)):
-        yield CycleDecomposition(_sorted_cycles(chosen))
+        yield CycleDecomposition(tuple(chosen))
 
 
 # -- local moves ------------------------------------------------------------

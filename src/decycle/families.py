@@ -148,29 +148,23 @@ def cycle_tree(
     _cap("cycle_tree", "nodes * max_len", nodes * max_len)
     rng = random.Random(seed)
     parent = [0] * nodes
-    for i in range(1, nodes):
-        parent[i] = rng.randrange(i)
     child_count = [0] * nodes
     for i in range(1, nodes):
+        parent[i] = rng.randrange(i)
         child_count[parent[i]] += 1
     lengths = []
     for i in range(nodes):
         slots = child_count[i] + (1 if i > 0 else 0)
         lengths.append(max(min_len, slots, rng.randint(min_len, max_len)))
-    cycle_vertices: list[list[int]] = []
-    free: list[list[int]] = []
+    free: list[list[int]] = []  # each cycle's vertices no child starts at yet
     pairs: list[tuple[int, int]] = []
     nxt = 0
     for i in range(nodes):
-        if i == 0:
-            verts = list(range(nxt, nxt + lengths[i]))
-            nxt += lengths[i]
-        else:
-            attach = free[parent[i]].pop(rng.randrange(len(free[parent[i]])))
-            verts = [attach] + list(range(nxt, nxt + lengths[i] - 1))
-            nxt += lengths[i] - 1
-        cycle_vertices.append(verts)
-        free.append(verts[1:] if i > 0 else verts[:])
+        # a child cycle starts at a free vertex of its parent; the root has none
+        head = [free[parent[i]].pop(rng.randrange(len(free[parent[i]])))] if i else []
+        verts = head + list(range(nxt, nxt + lengths[i] - len(head)))
+        nxt += lengths[i] - len(head)
+        free.append(verts[len(head):])
         for j in range(len(verts)):
             pairs.append((verts[j], verts[(j + 1) % len(verts)]))
     return Multigraph.from_edges(nxt, pairs)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import refuse_graph_build
-from decycle import cli, multigraph
+from decycle import bench, cli, multigraph
 from decycle.cigraph import build_ci
 from decycle.cigraph import to_dot as ci_to_dot
 from decycle.cli import main
@@ -162,6 +162,40 @@ def test_analyze_requires_exactly_one_input(capsys):
 def test_analyze_unknown_flag_usage_error(capsys):
     code, _, _ = run(capsys, "analyze", "--family", "cycle", "--bogus", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["analyze", "--family", "cycle", "--k", "3", "--n", "5", "--nodes", "9"],
+            "--n does not apply to family cycle",
+        ),
+        (
+            ["optimize", "--family", "cycle_tree", "--nodes", "3", "--max-len", "4",
+             "--lengths", "1,1"],
+            "--lengths does not apply to family cycle_tree",
+        ),
+        (["analyze", "{file}", "--k", "3"], "--k applies only with --family"),
+        (["gen", "{file}", "--min-len", "3"], "--min-len applies only with --family"),
+    ],
+    ids=["family_analyze", "family_optimize", "file_analyze", "file_gen"],
+)
+def test_a_family_flag_the_input_does_not_take_is_a_usage_error(
+    tmp_path, capsys, argv, message
+):
+    # such a flag used to be dropped without a word
+    p = tmp_path / "triangle.txt"
+    p.write_text("3 3\n0 1\n1 2\n2 0\n")
+    code, out, err = run(capsys, *(a.replace("{file}", str(p)) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_seed_is_taken_with_any_input(tmp_path, capsys):
+    p = tmp_path / "triangle.txt"
+    p.write_text("3 3\n0 1\n1 2\n2 0\n")
+    assert run(capsys, "analyze", str(p), "--seed", "4")[0] == 0
+    assert run(capsys, "gen", "--family", "cycle", "--k", "3", "--seed", "4")[0] == 0
 
 
 def test_analyze_disconnected_summed_vs_rejected(tmp_path, capsys):
@@ -542,6 +576,26 @@ def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
         code, _, err = run(capsys, "bench", str(spec_path))
         assert code == 1
         assert err.startswith("error:") and key in err
+
+
+def test_bench_unknown_key_is_usage_error(tmp_path, capsys, monkeypatch):
+    # a misspelt key used to be dropped and its default used; the spec is
+    # refused before its instance runs
+    monkeypatch.setattr(bench, "run_instance", None)
+    spec_path = tmp_path / "bench.json"
+    instance = {"family": "cycle", "params": {"k": 3}}
+    for bad, key in (
+        ({"instances": [instance], "budgett": 5}, "bench spec has unknown key 'budgett'"),
+        ({"instances": [instance], "strategy": ["greedy"]}, "unknown key 'strategy'"),
+        (
+            {"instances": [dict(instance, k=3)]},
+            "bench instance 0 has unknown key 'k'",
+        ),
+    ):
+        spec_path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "bench", str(spec_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and key in err
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from decycle.decompose import (
     _first_after_shuffle,
     _movable_subsets,
     _moves,
+    _sorted_cycles,
     decompose_greedy,
     decomposition_violations,
     enumerate_decompositions,
@@ -241,6 +242,8 @@ def test_enumerate_count_matches_partition_oracle_random(n, cycles, seed):
     assert len(keys(decos)) == len(decos)
     for d in decos:
         assert not decomposition_violations(g, d)
+        # the cycles come in the order of their sorted edge ids
+        assert d.cycles == _sorted_cycles(d.cycles)
         for c in d.cycles:
             # written from the lower endpoint of the lowest edge, along it
             assert c.edges[0] == min(c.edges)

@@ -17,6 +17,7 @@ from decycle.decompose import (
     decompose_greedy,
 )
 from decycle.decycling import analyze
+from decycle.families import cycle_tree
 from decycle.multigraph import Multigraph
 
 # the oracle's vertex limit: it covers every random_even graph drawn
@@ -69,12 +70,9 @@ def test_an_edge_permutation_keeps_the_general_bound_too(g, seed, data):
     assert facts(after, names) == facts(before, names)
 
 
-@settings(max_examples=60, deadline=None)
-@given(g=greedy_graphs(), seed=st.integers(0, 10_000), data=st.data())
-def test_subdividing_an_edge_keeps_the_counts_and_the_bounds(g, seed, data):
+def check_subdivision(g, seed, e):
     # edge e = (u, v) becomes e = (u, w) and a new edge (w, v), where w is
     # a new vertex of degree 2
-    e = data.draw(st.sampled_from(g.edge_ids))
     u, v = g.endpoints(e)
     w, f = max(g.vertices) + 1, max(g.edge_ids) + 1
     edges = {i: ends for i, *ends in g.edges()}
@@ -94,6 +92,21 @@ def test_subdividing_an_edge_keeps_the_counts_and_the_bounds(g, seed, data):
         cycles.append(c)
     mapped = CycleDecomposition(_sorted_cycles(cycles))
     names = ("exact", "ci_links", "ci_rank", "general_bound")
-    before = analyze(g, d, oracle_limit=LIMIT + 1)
+    # h has one vertex more than g, so a limit one higher lets the oracle
+    # run on both or on neither
+    before = analyze(g, d, oracle_limit=LIMIT)
     after = analyze(h, mapped, oracle_limit=LIMIT + 1)
     assert facts(after, names) == facts(before, names)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=greedy_graphs(), seed=st.integers(0, 10_000), data=st.data())
+def test_subdividing_an_edge_keeps_the_counts_and_the_bounds(g, seed, data):
+    check_subdivision(g, seed, data.draw(st.sampled_from(g.edge_ids)))
+
+
+def test_subdividing_a_graph_one_over_the_limit_keeps_exact_unset():
+    # 15 vertices: the oracle skips it, and must skip its 16-vertex subdivision
+    g = cycle_tree(nodes=4, seed=5)
+    assert g.n_vertices == LIMIT + 1
+    check_subdivision(g, 0, 0)
