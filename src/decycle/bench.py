@@ -112,7 +112,9 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
     oracle_limit = _spec_int(spec, "oracle_limit", None)
     if oracle_limit is not None and oracle_limit < 0:
         raise ParseError("bench spec 'oracle_limit' must be at least 0")
-    rows: list[dict] = []
+    # every instance is checked and built before any runs, so a bad one
+    # fails up front, not after the instances before it
+    graphs: list[tuple[str, Multigraph]] = []
     for idx, inst in enumerate(spec["instances"]):
         if not isinstance(inst, dict) or "family" not in inst:
             raise ParseError(
@@ -125,14 +127,15 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
         family = inst["family"]
         label = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
         graph_id = str(inst.get("id", f"{idx}:{family}({label})"))
-        g = build_family(family, **params)
-        for strategy in strategies:
-            rows.append(
-                run_instance(
-                    graph_id, g, strategy,
-                    seed=seed, budget=budget, oracle_limit=oracle_limit,
-                )
-            )
+        graphs.append((graph_id, build_family(family, **params)))
+    rows = [
+        run_instance(
+            graph_id, g, strategy,
+            seed=seed, budget=budget, oracle_limit=oracle_limit,
+        )
+        for graph_id, g in graphs
+        for strategy in strategies
+    ]
     if csv_path is not None:
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 from .errors import InvalidDecompositionError, ParseError
 from .multigraph import Multigraph, _require_even
@@ -207,19 +207,11 @@ def _first_after_shuffle(getrandbits, size: int) -> int:
 # calls itself is a reference cycle, which keeps every search alive until
 # the cyclic garbage collector runs.
 
-# vertex -> [edge id, other end, edge id, other end, ...]
-Adjacency = Mapping[int, Sequence[int]]
-
-
-def _cycles_through(
-    adjacency: Adjacency,
-    uncovered: set[int],
-    e: int,
-    start: int,
-    first: int,
-) -> Iterator[Cycle]:
-    """Every simple cycle of the ``uncovered`` edges through edge ``e``,
-    written from its endpoint ``start`` along ``e`` to ``first``."""
+def _cycles_through(g: Multigraph, uncovered: set[int], e: int) -> Iterator[Cycle]:
+    """Every simple cycle of the ``uncovered`` edges of ``g`` through edge
+    ``e``, written from the lower end of ``e`` along it."""
+    adjacency = g._adjacency
+    start, first = g._edges[e]
     verts = [start, first]
     eids = [e]
     on_path = {start, first}
@@ -244,30 +236,22 @@ def _cycles_through(
             eids.pop()
 
 
-def _peel(
-    adjacency: Adjacency, endpoints, uncovered: set[int]
-) -> Iterator[list[Cycle]]:
-    """Every decomposition of the ``uncovered`` edges into simple cycles,
-    once each, as the list of its cycles (valid until the next one).
+def _peel(g: Multigraph, uncovered: set[int]) -> Iterator[list[Cycle]]:
+    """Every decomposition of the ``uncovered`` edges of ``g`` into simple
+    cycles, once each, as the list of its cycles (valid until the next one).
 
     The lowest uncovered edge lies on exactly one cycle of any
     decomposition, so branching over every cycle through it and peeling
-    on reaches each decomposition once. ``endpoints(e)`` gives an edge's
-    ends lower first; each cycle is written from the lower end of its
-    lowest edge, along that edge. ``uncovered`` is restored on exhaustion.
+    on reaches each decomposition once. Every edge below it is covered,
+    so it is the lowest edge of each cycle through it, and each cycle is
+    written from the lower end of its lowest edge, along that edge.
+    ``uncovered`` is restored on exhaustion.
     """
     if not uncovered:
         yield []
         return
     chosen: list[Cycle] = []
-
-    def branch() -> Iterator[Cycle]:
-        # every edge below e is covered, so e is the lowest edge of each
-        # cycle through it
-        e = min(uncovered)
-        return _cycles_through(adjacency, uncovered, e, *endpoints(e))
-
-    levels = [branch()]
+    levels = [_cycles_through(g, uncovered, min(uncovered))]
     while levels:
         if len(chosen) == len(levels):  # put back the top level's last cycle
             uncovered.update(chosen.pop().edges)
@@ -278,7 +262,7 @@ def _peel(
         uncovered.difference_update(cyc.edges)
         chosen.append(cyc)
         if uncovered:
-            levels.append(branch())
+            levels.append(_cycles_through(g, uncovered, min(uncovered)))
         else:
             yield chosen
 
@@ -294,7 +278,7 @@ def enumerate_decompositions(g: Multigraph) -> Iterator[CycleDecomposition]:
     their sorted edge ids.
     """
     _require_even(g)
-    for chosen in _peel(g._adjacency, g.endpoints, set(g.edge_ids)):
+    for chosen in _peel(g, set(g.edge_ids)):
         yield CycleDecomposition(tuple(chosen))
 
 
@@ -387,22 +371,18 @@ def _movable_subsets(
 
 
 def _resplits(
-    g: Multigraph, union: list[Cycle], shared: set[int]
+    g: Multigraph, key: tuple[frozenset[int], bool], shared: set[int]
 ) -> tuple[tuple[KeyedCycle, ...], ...]:
-    """The decompositions of the edge union of ``union`` that the move rule
-    allows: every one from two cycles, only the two-cycle ones from three
-    or more. ``shared`` holds the vertices on two of the cycles."""
-    adjacency: dict[int, list[int]] = {}
-    for c in union:
-        vs = c.vertices
-        for u, w, e in zip(vs, vs[1:] + vs[:1], c.edges):
-            adjacency.setdefault(u, []).extend((e, w))
-            adjacency.setdefault(w, []).extend((e, u))
-    uncovered = {e for c in union for e in c.edges}
-    if len(union) == 2:
+    """The decompositions of a union of cycles, keyed by its edge ids and
+    whether it has exactly two cycles, that the move rule allows: every
+    one from two cycles, only the two-cycle ones from three or more.
+    ``shared`` holds the vertices on two of the cycles."""
+    eids, two = key
+    uncovered = set(eids)
+    if two:
         return tuple(
             tuple((tuple(sorted(c.edges)), c) for c in split)
-            for split in _peel(adjacency, g.endpoints, uncovered)
+            for split in _peel(g, uncovered)
         )
     # Each cycle of a two-cycle split passes every shared (degree-4)
     # vertex once, so the cycle through the lowest edge must meet them
@@ -410,13 +390,11 @@ def _resplits(
     # be a single cycle: the one through its lowest edge, if that takes
     # every edge left.
     found = []
-    e = min(uncovered)
-    for first in _cycles_through(adjacency, uncovered, e, *g.endpoints(e)):
+    for first in _cycles_through(g, uncovered, min(uncovered)):
         if not shared.issubset(first.vertices):
             continue
         left = uncovered.difference(first.edges)
-        low = min(left)
-        for second in _cycles_through(adjacency, left, low, *g.endpoints(low)):
+        for second in _cycles_through(g, left, min(left)):
             if len(second) == len(left):
                 found.append(
                     tuple((tuple(sorted(c.edges)), c) for c in (first, second))
@@ -451,9 +429,8 @@ def _moves(
         memo_key = (eids, len(chosen) == 2)
         resplits = splits.get(memo_key)
         if resplits is None:
-            union = [cycles[i] for i in chosen]
-            shared = {v for c in union for v in c.vertices if on[v] == 2}
-            resplits = splits[memo_key] = _resplits(g, union, shared)
+            shared = {v for i in chosen for v in cycles[i].vertices if on[v] == 2}
+            resplits = splits[memo_key] = _resplits(g, memo_key, shared)
         if not resplits:
             continue
         rest = tuple(kc for i, kc in enumerate(keyed) if i not in chosen)

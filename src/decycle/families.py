@@ -195,6 +195,21 @@ def build_family(family: str, **params) -> Multigraph:
         raise DomainError(
             f"unknown family {family!r}; choose from {', '.join(FAMILY_NAMES)}"
         ) from None
+    for name, value in params.items():
+        # JSON true, 1.0 and "abc" are not integers, yet a generator would
+        # take them as a seed: true and 1.0 as 1, "abc" by its hash
+        if name == "lengths":
+            kind = "a list of integers"
+            ok = isinstance(value, (list, tuple)) and all(
+                type(x) is int for x in value
+            )
+        else:
+            ok, kind = type(value) is int, "an integer"
+        if not ok:
+            raise DomainError(
+                f"bad parameters for family {family!r}: {name} must be {kind}, "
+                f"not {value!r}"
+            )
     try:
         return builder(**params)
     except TypeError as exc:

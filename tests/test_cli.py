@@ -500,7 +500,7 @@ def test_bench_unknown_family_parameter_is_domain_exit(tmp_path, capsys):
     code, _, err = run(capsys, "bench", str(spec_path))
     assert code == 2
     assert err.startswith("error: bad parameters") and "max_tries" in err
-    # theta takes its lengths as given, so a JSON number fails inside it
+    # a JSON number is not a list of theta lengths
     spec_path.write_text(json.dumps(
         {"instances": [{"family": "theta", "params": {"lengths": 5}}]}
     ))
@@ -596,6 +596,64 @@ def test_bench_unknown_key_is_usage_error(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, "bench", str(spec_path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and key in err
+
+
+def test_bench_checks_every_instance_before_running_any(
+    tmp_path, capsys, monkeypatch
+):
+    # a bad instance 1 used to be found only after instance 0 had run
+    calls = []
+
+    def counting(name):
+        real = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("optimize_decomposition", "analyze"):
+        monkeypatch.setattr(bench, name, counting(name))
+    spec_path = tmp_path / "bench.json"
+    good = {"family": "random_even", "params": {"n": 8, "cycles": 4, "seed": 11}}
+    for bad, exit_code, message in (
+        ({"family": "cycle", "paramz": {"k": 3}}, 1, "unknown key 'paramz'"),
+        ({"family": "cycle", "params": {"k": 1}}, 2, "cycle needs k >= 2"),
+        ({"family": "cycle", "params": {"k": True}}, 2, "k must be an integer"),
+    ):
+        spec_path.write_text(json.dumps(
+            {"instances": [good, bad], "strategies": ["exhaustive"]}
+        ))
+        code, out, err = run(capsys, "bench", str(spec_path))
+        assert (code, out) == (exit_code, "")
+        assert err.startswith("error: ") and message in err
+        assert calls == []
+
+
+@pytest.mark.parametrize(
+    "family, params, name",
+    [
+        ("random_even", {"n": 7, "cycles": 3, "seed": True}, "seed"),
+        ("random_even", {"n": 7, "cycles": 3, "seed": 1.0}, "seed"),
+        ("cycle_tree", {"nodes": 4, "seed": "abc"}, "seed"),
+        ("cycle", {"k": 3.0}, "k"),
+        ("theta", {"lengths": [1, 2, True, 2]}, "lengths"),
+        ("theta", {"lengths": [1, 2, 2.0, 2]}, "lengths"),
+        ("theta", {"lengths": "1,2"}, "lengths"),
+    ],
+)
+def test_bench_family_parameters_must_be_integers(
+    tmp_path, capsys, family, params, name
+):
+    # these once ran: seed true and 1.0 as seed 1, "abc" seeded by its hash
+    spec_path = tmp_path / "bench.json"
+    spec_path.write_text(json.dumps(
+        {"instances": [{"family": family, "params": params}]}
+    ))
+    code, out, err = run(capsys, "bench", str(spec_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad parameters for family '{family}': {name} ")
 
 
 @pytest.mark.parametrize(

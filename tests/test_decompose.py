@@ -230,6 +230,14 @@ def test_enumerate_count_matches_partition_oracle(
         assert got == want
 
 
+def assert_written_from_its_lowest_edge(g, c):
+    """A cycle the peeling search finds starts at the lower endpoint of
+    its lowest edge and goes along that edge, whatever order the
+    adjacency it walked lists the edges in."""
+    assert c.edges[0] == min(c.edges)
+    assert c.vertices[0] == g.endpoints(c.edges[0])[0]
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(3, 7), cycles=st.integers(1, 3), seed=st.integers(0, 50_000))
 def test_enumerate_count_matches_partition_oracle_random(n, cycles, seed):
@@ -245,9 +253,7 @@ def test_enumerate_count_matches_partition_oracle_random(n, cycles, seed):
         # the cycles come in the order of their sorted edge ids
         assert d.cycles == _sorted_cycles(d.cycles)
         for c in d.cycles:
-            # written from the lower endpoint of the lowest edge, along it
-            assert c.edges[0] == min(c.edges)
-            assert c.vertices[0] == min(g.endpoints(c.edges[0]))
+            assert_written_from_its_lowest_edge(g, c)
 
 
 def test_simple_ci_filter_matches_is_simple(doubled_triangle, theta_graph):
@@ -387,6 +393,10 @@ def test_moves_are_valid_and_follow_the_rule_random(n, cycles, seed):
         assert sk == nd.sort_key
         assert not decomposition_violations(g, nd)
         assert min(len(key(d) - key(nd)), len(key(nd) - key(d))) == 2
+        # the re-split walks the whole graph, restricted to the union's
+        # edges, and still writes each new cycle the one way
+        for c in set(nd.cycles) - set(d.cycles):
+            assert_written_from_its_lowest_edge(g, c)
 
 
 def assert_shared_splits_match_fresh_neighbors(g, limit=20):

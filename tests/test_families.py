@@ -111,6 +111,28 @@ def test_family_validation_errors():
         ("random_even", {"n": 4, "cycles": 0}, "random_even needs cycles >= 1"),
         ("cycle_tree", {"nodes": 2, "min_len": 2}, "cycle_tree needs 3 <= min_len"),
         ("cycle_tree", {"nodes": 2, "min_len": 4, "max_len": 3}, "cycle_tree needs 3"),
+        # a parameter that is not an exact int, refused before the generator
+        # runs, which would take a seed of True as 1
+        (
+            "random_even",
+            {"n": 7, "cycles": 3, "seed": True},
+            "bad parameters for family 'random_even': seed must be an integer",
+        ),
+        (
+            "random_even",
+            {"n": 7, "cycles": 3.0},
+            "bad parameters for family 'random_even': cycles must be an integer",
+        ),
+        (
+            "theta",
+            {"lengths": (1, 2, 2, False)},
+            "bad parameters for family 'theta': lengths must be a list of integers",
+        ),
+        (
+            "theta",
+            {"lengths": 4},
+            "bad parameters for family 'theta': lengths must be a list of integers",
+        ),
     ],
 )
 def test_family_guards_refuse_out_of_domain_params(family, params, message):

@@ -1,17 +1,19 @@
 """Byte-for-byte CLI output against the files in ``tests/golden/``.
 
-Each file holds the stdout of the command of the same name in
-``golden_commands.COMMANDS``. The README promises the same output for
-the same flags and seeds, so a change to these files is a change to
-that promise.
+Each ``.txt`` file holds the stdout of the command of the same name in
+``golden_commands.COMMANDS``, or of a ``bench`` run in
+``golden_commands.BENCH_COMMANDS``, which also lists the CSV tables.
+The README promises the same output for the same flags and seeds, so a
+change to these files is a change to that promise.
 """
 
 import csv
+import io
 
 import pytest
 
 from decycle.cli import main
-from golden_commands import COMMANDS, GOLDEN
+from golden_commands import BENCH_COMMANDS, COMMANDS, GOLDEN, run_bench
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -22,35 +24,36 @@ def test_cli_output_matches_golden(capsys, name):
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
-# `decycle bench` over bench_spec.json: eight instances (an upper-case and
-# an integer id, lone cycles with NA edge bounds, a cycle over the oracle
-# limit, ids that need CSV quoting) under all three strategies
-BENCH_SPEC = GOLDEN / "bench_spec.json"
+def bench_matches_golden(name, tmp_path) -> dict[str, bytes]:
+    """Run ``BENCH_COMMANDS[name]``, check every golden file of the run,
+    and return what the run gave, by golden file name."""
+    code, got = run_bench(name, tmp_path)
+    assert code == 0
+    for file, data in got.items():
+        assert data == (GOLDEN / file).read_bytes(), file
+    return got
 
 
-def test_bench_output_matches_golden(capsys, tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    assert main(["bench", str(BENCH_SPEC), "--output", str(csv_path)]) == 0
-    assert capsys.readouterr().out.encode() == (GOLDEN / "bench.txt").read_bytes()
-    assert csv_path.read_bytes() == (GOLDEN / "bench.csv").read_bytes()
-    assert main(["bench", str(BENCH_SPEC), "--json"]) == 0
-    out = capsys.readouterr().out
-    assert out.encode() == (GOLDEN / "bench_json.txt").read_bytes()
+def test_bench_output_matches_golden(tmp_path):
+    bench_matches_golden("bench", tmp_path)
+    bench_matches_golden("bench_json", tmp_path)
 
 
-# the tightness table: greedy `analyze` over 193 seeded graphs (random_even
-# n 6-12, cycles 2-5, seeds 0-5; cycle_tree 3, 5 and 8 nodes, seeds 0-3; a
-# flower; triangle_chain and doubled_cycle 2-7)
-TIGHTNESS_SPEC = GOLDEN / "tightness_spec.json"
+def test_every_golden_output_is_replayed():
+    # the other files (.json specs, .edges graphs) are inputs
+    outputs = {p.name for p in GOLDEN.iterdir() if p.suffix in (".txt", ".csv")}
+    pinned = {f"{name}.txt" for name in COMMANDS}
+    for _, files in BENCH_COMMANDS.values():
+        pinned.update(files)
+    assert pinned == outputs
 
 
-def test_tightness_table_matches_golden(capsys, tmp_path):
-    csv_path = tmp_path / "tightness.csv"
-    assert main(["bench", str(TIGHTNESS_SPEC), "--output", str(csv_path)]) == 0
-    capsys.readouterr()
-    assert csv_path.read_bytes() == (GOLDEN / "tightness.csv").read_bytes()
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+def table_rows(table: bytes) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(table.decode(), newline="")))
+
+
+def test_tightness_table_matches_golden(tmp_path):
+    rows = table_rows(bench_matches_golden("tightness", tmp_path)["tightness.csv"])
     assert len(rows) == 193
     for row in rows:
         if row["exact"] == "NA":
@@ -64,19 +67,8 @@ def test_tightness_table_matches_golden(capsys, tmp_path):
             assert int(row["general"]) == exact
 
 
-# the optimization table: the 108 random_even graphs with n 5-8, cycles
-# 2-4 and seeds 0-11 that have at most 16 edges (chosen by edge count
-# alone), under greedy, local search (budget 200) and exhaustive search
-OPTIMIZE_SPEC = GOLDEN / "optimize_spec.json"
-
-
-def test_optimize_table_matches_golden(capsys, tmp_path):
-    csv_path = tmp_path / "optimize.csv"
-    assert main(["bench", str(OPTIMIZE_SPEC), "--output", str(csv_path)]) == 0
-    capsys.readouterr()
-    assert csv_path.read_bytes() == (GOLDEN / "optimize.csv").read_bytes()
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+def test_optimize_table_matches_golden(tmp_path):
+    rows = table_rows(bench_matches_golden("optimize", tmp_path)["optimize.csv"])
     assert len(rows) == 3 * 108
     for row in rows:
         assert int(row["n_edges"]) <= 16
