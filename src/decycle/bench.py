@@ -109,6 +109,8 @@ def run_bench(spec: dict, csv_path: Optional[str] = None) -> dict:
             raise ValueError(f"unknown strategy {s!r}")
     seed = _spec_int(spec, "seed", 0)
     budget = _spec_int(spec, "budget", 200)
+    if budget < 1:
+        raise ParseError("bench spec 'budget' must be at least 1")
     oracle_limit = _spec_int(spec, "oracle_limit", None)
     if oracle_limit is not None and oracle_limit < 0:
         raise ParseError("bench spec 'oracle_limit' must be at least 0")

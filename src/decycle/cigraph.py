@@ -35,29 +35,37 @@ class Link(NamedTuple):
         return (self.a, self.b)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CIGraph:
     """A node per cycle and, per node pair that shares graph vertices,
     its bundle: the labels of those vertices in ascending order. A
     bundle of k labels stands for k parallel links. Compared by value;
     ``bundles`` is read-only and every other quantity derives from it.
 
-    ``CIGraph(node_count, links)`` takes the links in any order.
+    ``CIGraph(node_count, bundles)`` keeps a copy of ``bundles``, which
+    maps each pair (a, b) with a < b to its labels in ascending order;
+    ``CIGraph.from_links(node_count, links)`` takes links in any order.
     """
 
     node_count: int
     bundles: Mapping[tuple[int, int], tuple[int, ...]]
 
-    def __init__(self, node_count: int, links: Iterable[Link] = ()) -> None:
+    def __post_init__(self) -> None:
+        # a copy, so a later change to the caller's dict cannot reach the CI
+        object.__setattr__(self, "bundles", MappingProxyType(dict(self.bundles)))
+
+    @classmethod
+    def from_links(cls, node_count: int, links: Iterable[Link] = ()) -> CIGraph:
+        """The CI with these links, given in any order."""
         grouped = groupby(sorted(links), itemgetter(0, 1))
         bundles = {pair: tuple(l[2] for l in group) for pair, group in grouped}
-        _init_ci(self, node_count, bundles)
+        return cls(node_count, bundles)
 
     def __hash__(self) -> int:
         return hash((self.node_count, frozenset(self.bundles.items())))
 
     def __reduce__(self):  # a mapping proxy cannot be pickled or copied
-        return _ci_of, (self.node_count, dict(self.bundles))
+        return CIGraph, (self.node_count, dict(self.bundles))
 
     @cached_property
     def links(self) -> tuple[Link, ...]:
@@ -74,19 +82,6 @@ class CIGraph:
             "nodes": self.node_count,
             "links": [[l.a, l.b, l.label] for l in self.links],
         }
-
-
-def _init_ci(ci: CIGraph, node_count: int, bundles: dict) -> CIGraph:
-    """Set the fields of ``ci``. ``bundles`` maps each pair to a tuple
-    of its labels in ascending order; it is wrapped, not copied."""
-    object.__setattr__(ci, "node_count", node_count)
-    object.__setattr__(ci, "bundles", MappingProxyType(bundles))
-    return ci
-
-
-def _ci_of(node_count: int, bundles: dict) -> CIGraph:
-    """A ``CIGraph`` made straight from its bundles, with no links."""
-    return _init_ci(object.__new__(CIGraph), node_count, bundles)
 
 
 def build_ci(g: Multigraph, d: CycleDecomposition) -> CIGraph:
@@ -109,7 +104,7 @@ def _build_ci(d: CycleDecomposition) -> CIGraph:
         if len(on) > 1:
             for pair in combinations(on, 2):
                 bundles[pair] = get(pair, ()) + (v,)
-    return _ci_of(len(d.cycles), bundles)
+    return CIGraph(len(d.cycles), bundles)
 
 
 def _closing_links(node_count: int, links) -> list:
@@ -155,7 +150,7 @@ def restrict_ci(ci: CIGraph, keep: list[int]) -> CIGraph:
         for (a, b), labels in ci.bundles.items()
         if a in index and b in index
     }
-    return _ci_of(len(keep), bundles)
+    return CIGraph(len(keep), bundles)
 
 
 # -- exact maximum matching -------------------------------------------------

@@ -152,10 +152,15 @@ def decycle_general(
 
 
 def _oracle_cap(limit: Optional[int]) -> int:
-    """The oracle's vertex limit, the default for None; refuses one below 0."""
-    if limit is not None and limit < 0:
+    """The oracle's vertex limit, the default for None; refuses one that
+    is not an integer or is below 0."""
+    if limit is None:
+        return DEFAULT_ORACLE_LIMIT
+    if type(limit) is not int:  # a bool is an int, but not a limit
+        raise ValueError(f"oracle limit must be an integer, not {limit!r}")
+    if limit < 0:
         raise ValueError(f"oracle limit must be at least 0, not {limit}")
-    return DEFAULT_ORACLE_LIMIT if limit is None else limit
+    return limit
 
 
 def exact_decycling_number(

@@ -255,19 +255,18 @@ def parse_edge_list(source) -> Multigraph:
     if isinstance(source, (bytes, bytearray)):
         source = source.decode("utf-8")
     n = m = None
+    what = "header 'n m'"
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = line.split()
+        try:  # a field too many or too few fails the unpacking
+            u, v = map(int, line.split())
+        except ValueError:
+            raise ParseError(f"expected {what}", line=lineno) from None
         if n is None:
-            if len(fields) != 2:
-                raise ParseError("expected header 'n m'", line=lineno)
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise ParseError("expected header 'n m'", line=lineno) from None
+            n, m, what = u, v, "edge 'u v'"
             if n < 0 or m < 0:
                 raise ParseError("negative count in header", line=lineno)
             if n > MAX_HEADER_VERTICES:
@@ -277,12 +276,6 @@ def parse_edge_list(source) -> Multigraph:
                     line=lineno,
                 )
             continue
-        if len(fields) != 2:
-            raise ParseError("expected edge 'u v'", line=lineno)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError("expected edge 'u v'", line=lineno) from None
         if not (0 <= u < n) or not (0 <= v < n):
             raise ParseError(f"endpoint out of range 0..{n - 1}", line=lineno)
         if u == v:

@@ -18,7 +18,7 @@ from .decompose import (
     CycleDecomposition,
     _decompose_greedy,
     _moves,
-    enumerate_decompositions,
+    _peel,
 )
 from .decycling import _ci_link_count, _construct_decycling
 from .errors import DisconnectedError, InvariantError
@@ -97,9 +97,10 @@ def optimize_decomposition(
         return rank
 
     if method == "exhaustive":
+        # enumerate_decompositions, less the evenness check made above;
         # most decompositions lose on rank and never need a sort_key
-        for d in enumerate_decompositions(g):
-            consider(None, d)
+        for chosen in _peel(g, set(g.edge_ids)):
+            consider(None, CycleDecomposition(tuple(chosen)))
     else:
         # Local search meets the same decompositions and cycle unions
         # over and over: bound, re-split and build the neighbourhood of

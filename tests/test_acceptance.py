@@ -204,9 +204,9 @@ def test_criterion_8_values_are_derived_not_quoted():
     # straight from the matching-based cover
     ok = True
     for n in range(1, 9):
-        path = CIGraph(n + 1, tuple(Link(i, i + 1, i) for i in range(n)))
+        path = CIGraph.from_links(n + 1, tuple(Link(i, i + 1, i) for i in range(n)))
         ok = ok and sum(map(len, msf(path))) == math.ceil((n + 1) / 2)
-        star = CIGraph(n + 1, tuple(Link(0, i + 1, i) for i in range(n)))
+        star = CIGraph.from_links(n + 1, tuple(Link(0, i + 1, i) for i in range(n)))
         ok = ok and sum(map(len, msf(star))) == n
     _report(
         "criterion 8: no quoted experimental numbers; closed forms and "

@@ -32,12 +32,12 @@ from oracles import (
 
 def path_ci(n_links):
     links = tuple(Link(i, i + 1, 100 + i) for i in range(n_links))
-    return CIGraph(n_links + 1, links)
+    return CIGraph.from_links(n_links + 1, links)
 
 
 def star_ci(n_links):
     links = tuple(Link(0, i + 1, 200 + i) for i in range(n_links))
-    return CIGraph(n_links + 1, links)
+    return CIGraph.from_links(n_links + 1, links)
 
 
 # -- construction -------------------------------------------------------------
@@ -123,11 +123,11 @@ def test_ci_rank_is_a_cycle_count(n, cycles, seed):
 
 def test_cycle_rank_values():
     assert cycle_rank(path_ci(3)) == 0
-    three_cycle = CIGraph(3, (Link(0, 1, 5), Link(0, 2, 6), Link(1, 2, 7)))
+    three_cycle = CIGraph.from_links(3, (Link(0, 1, 5), Link(0, 2, 6), Link(1, 2, 7)))
     assert cycle_rank(three_cycle) == 1
-    two_nodes = CIGraph(2, (Link(0, 1, 1), Link(0, 1, 2), Link(0, 1, 3)))
+    two_nodes = CIGraph.from_links(2, (Link(0, 1, 1), Link(0, 1, 2), Link(0, 1, 3)))
     assert cycle_rank(two_nodes) == 2
-    assert cycle_rank(CIGraph(4, ())) == 0
+    assert cycle_rank(CIGraph.from_links(4, ())) == 0
 
 
 def test_rank_zero_iff_forest():
@@ -140,7 +140,7 @@ def test_rank_zero_iff_forest():
             if rng.random() < 0.4
         ]
         links = tuple(Link(a, b, 0) for a, b in pairs)
-        ci = restrict_ci(CIGraph(n, links), list(range(n)))
+        ci = restrict_ci(CIGraph.from_links(n, links), list(range(n)))
         forest = _is_forest_pairs(n, pairs)
         assert (cycle_rank(ci) == 0) == forest
 
@@ -194,10 +194,21 @@ def test_links_round_trip_keeps_the_bundles(n, cycles, seed):
     # are sorted and give back an equal CI with the same bundles
     ci = built_ci(n, cycles, seed)
     assert ci.links == tuple(sorted(ci.links))
-    again = CIGraph(ci.node_count, ci.links)
+    again = CIGraph.from_links(ci.node_count, ci.links)
     assert again == ci and hash(again) == hash(ci)
     assert dict(again.bundles) == dict(ci.bundles)
     assert all(list(ls) == sorted(set(ls)) for ls in ci.bundles.values())
+
+
+def test_a_later_change_to_the_bundles_dict_leaves_the_ci_alone():
+    bundles = {(0, 1): (4, 7), (1, 2): (5,)}
+    ci = CIGraph(3, bundles)
+    before = hash(ci)
+    bundles[(0, 1)] = (4,)
+    bundles[(0, 2)] = (9,)
+    links = (Link(0, 1, 4), Link(0, 1, 7), Link(1, 2, 5))
+    assert ci == CIGraph.from_links(3, links) and hash(ci) == before
+    assert ci.links == links
 
 
 @pytest.mark.parametrize(
@@ -205,13 +216,13 @@ def test_links_round_trip_keeps_the_bundles(n, cycles, seed):
     ids=["pickle", "deepcopy"],
 )
 def test_copies_keep_the_bundles_and_links(copy_of):
-    ci = built_ci(8, 4, 2)
-    assert not is_simple(ci)  # parallel bundles make the trip too
-    links = ci.links  # cached on ci, rebuilt on the copy
-    again = copy_of(ci)
-    assert again == ci and hash(again) == hash(ci)
-    assert dict(again.bundles) == dict(ci.bundles)
-    assert again.links == links
+    for ci in (built_ci(8, 4, 2), CIGraph(3, {(0, 1): (4, 7), (1, 2): (5,)})):
+        assert not is_simple(ci)  # parallel bundles make the trip too
+        links = ci.links  # cached on ci, rebuilt on the copy
+        again = copy_of(ci)
+        assert again == ci and hash(again) == hash(ci)
+        assert dict(again.bundles) == dict(ci.bundles)
+        assert again.links == links
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,7 +242,7 @@ def test_restrict_ci_agrees_with_restricting_the_links(n, cycles, seed, data):
         if a in index and b in index
     )
     sub = restrict_ci(ci, keep)
-    assert sub == CIGraph(len(keep), links)
+    assert sub == CIGraph.from_links(len(keep), links)
     assert sub.links == links
 
 
@@ -240,7 +251,7 @@ def test_restrict_ci_agrees_with_restricting_the_links(n, cycles, seed, data):
 
 def test_matching_examples():
     assert len(max_matching(path_ci(3))) == 2
-    three_cycle = CIGraph(3, (Link(0, 1, 5), Link(0, 2, 6), Link(1, 2, 7)))
+    three_cycle = CIGraph.from_links(3, (Link(0, 1, 5), Link(0, 2, 6), Link(1, 2, 7)))
     assert len(max_matching(three_cycle)) == 1
     for n in (1, 3, 6):
         assert len(max_matching(star_ci(n))) == (1 if n else 0)
@@ -256,13 +267,13 @@ def test_matching_is_valid_and_lexicographic():
     # the path 2-0-1-3-4-5-6: keeping 0-1 frees 2 and 3, and only the
     # search from 3 finds the augmenting path 3-4-5-6
     pairs = [(0, 1), (0, 2), (1, 3), (3, 4), (4, 5), (5, 6)]
-    ci = CIGraph(7, tuple(Link(a, b, i) for i, (a, b) in enumerate(pairs)))
+    ci = CIGraph.from_links(7, tuple(Link(a, b, i) for i, (a, b) in enumerate(pairs)))
     m = [l.pair() for l in max_matching(ci)]
     assert m == oracle_lex_first_matching(pairs) == [(0, 1), (3, 4), (5, 6)]
 
 
 def test_matching_collapses_parallel_links():
-    ci = CIGraph(2, (Link(0, 1, 4), Link(0, 1, 9)))
+    ci = CIGraph.from_links(2, (Link(0, 1, 4), Link(0, 1, 9)))
     m = max_matching(ci)
     assert len(m) == 1 and m[0].label == 4  # first link of the bundle
 
@@ -271,7 +282,7 @@ def test_matching_needs_blossoms():
     # two triangles joined by a bridge: augmenting through odd cycles
     pairs = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]
     links = tuple(Link(a, b, i) for i, (a, b) in enumerate(pairs))
-    ci = CIGraph(6, links)
+    ci = CIGraph.from_links(6, links)
     m = [l.pair() for l in max_matching(ci)]
     assert len(m) == oracle_max_matching(pairs) == 3
     assert m == oracle_lex_first_matching(pairs)
@@ -285,7 +296,7 @@ def test_matching_matches_exhaustive_oracle(n, seed):
         (a, b) for a, b in combinations(range(n), 2) if rng.random() < 0.45
     ]
     links = tuple(Link(a, b, 1000 + i) for i, (a, b) in enumerate(pairs))
-    ci = CIGraph(n, links)
+    ci = CIGraph.from_links(n, links)
     m = [l.pair() for l in max_matching(ci)]
     assert len(m) == oracle_max_matching(pairs)
     assert m == oracle_lex_first_matching(pairs)
@@ -299,13 +310,13 @@ def ci_graphs(draw):
     pairs = list(combinations(range(n), 2))
     drawn = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
     links = [Link(a, b, 100 + i) for i, (a, b) in enumerate(drawn)]
-    return CIGraph(n, tuple(draw(st.permutations(links))))
+    return CIGraph.from_links(n, tuple(draw(st.permutations(links))))
 
 
 def on_ci_graphs(test):
     """Run ``test`` on drawn CI graphs, always with 0 and 1 nodes too."""
     for n in (0, 1):
-        test = example(ci=CIGraph(n, ()))(test)
+        test = example(ci=CIGraph.from_links(n, ()))(test)
     return settings(max_examples=150, deadline=None)(given(ci=ci_graphs())(test))
 
 
@@ -368,7 +379,7 @@ def test_msf_examples():
     assert sum(map(len, msf(path_ci(3)))) == 2
     for n in range(1, 7):
         assert sum(map(len, msf(star_ci(n)))) == n
-    lone = CIGraph(1, ())
+    lone = CIGraph.from_links(1, ())
     assert msf(lone) == ((), (0,))
 
 

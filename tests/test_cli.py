@@ -598,10 +598,9 @@ def test_bench_unknown_key_is_usage_error(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: ") and key in err
 
 
-def test_bench_checks_every_instance_before_running_any(
-    tmp_path, capsys, monkeypatch
-):
-    # a bad instance 1 used to be found only after instance 0 had run
+def count_bench_runs(monkeypatch) -> list:
+    """The names of the ``bench.analyze`` and
+    ``bench.optimize_decomposition`` calls made from now on."""
     calls = []
 
     def counting(name):
@@ -615,6 +614,14 @@ def test_bench_checks_every_instance_before_running_any(
 
     for name in ("optimize_decomposition", "analyze"):
         monkeypatch.setattr(bench, name, counting(name))
+    return calls
+
+
+def test_bench_checks_every_instance_before_running_any(
+    tmp_path, capsys, monkeypatch
+):
+    # a bad instance 1 used to be found only after instance 0 had run
+    calls = count_bench_runs(monkeypatch)
     spec_path = tmp_path / "bench.json"
     good = {"family": "random_even", "params": {"n": 8, "cycles": 4, "seed": 11}}
     for bad, exit_code, message in (
@@ -628,6 +635,24 @@ def test_bench_checks_every_instance_before_running_any(
         code, out, err = run(capsys, "bench", str(spec_path))
         assert (code, out) == (exit_code, "")
         assert err.startswith("error: ") and message in err
+        assert calls == []
+
+
+def test_bench_refuses_a_budget_below_1_before_running_any(
+    tmp_path, capsys, monkeypatch
+):
+    # budget -7 used to give a greedy-only table, and budget 0 ran
+    # instance 0's analyze before the optimizer refused it
+    calls = count_bench_runs(monkeypatch)
+    spec_path = tmp_path / "bench.json"
+    good = {"family": "random_even", "params": {"n": 8, "cycles": 4, "seed": 11}}
+    for budget, strategies in ((-7, ["greedy"]), (0, list(bench.STRATEGIES))):
+        spec_path.write_text(json.dumps(
+            {"instances": [good], "strategies": strategies, "budget": budget}
+        ))
+        code, out, err = run(capsys, "bench", str(spec_path))
+        assert (code, out) == (1, "")
+        assert err == "error: bench spec 'budget' must be at least 1\n"
         assert calls == []
 
 

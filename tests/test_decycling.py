@@ -110,7 +110,7 @@ def test_decycle_tree_ci_rejects_cyclic_ci(doubled_triangle):
 def test_decycle_tree_ci_rejects_invalid_decomposition(theta_graph):
     # the empty decomposition has a forest CI but covers no edge
     with pytest.raises(InvalidDecompositionError, match="not covered"):
-        decycle_tree_ci(theta_graph, CycleDecomposition(()), CIGraph(0, ()))
+        decycle_tree_ci(theta_graph, CycleDecomposition(()), CIGraph.from_links(0, ()))
 
 
 def test_decycle_general_doubled_triangle(doubled_triangle):
@@ -138,7 +138,7 @@ def test_construction_rejects_a_ci_of_another_decomposition(
     d = decompose_greedy(theta_graph)
     assert len(d.cycles) == 2
     with pytest.raises(InvalidDecompositionError, match="not the CI graph"):
-        construct(theta_graph, d, CIGraph(nodes))
+        construct(theta_graph, d, CIGraph.from_links(nodes))
 
 
 def test_decycle_general_equals_tree_on_forest_ci():
@@ -460,7 +460,7 @@ def test_strip_ignores_the_bundle_order(n, cycles, seed):
     # constructor in link order; the strip gives the same labels for both
     g = random_even(n, cycles, seed=seed)
     built = build_ci(g, decompose_greedy(g, seed))
-    in_link_order = CIGraph(built.node_count, built.links)
+    in_link_order = CIGraph.from_links(built.node_count, built.links)
     assert list(in_link_order.bundles) == sorted(built.bundles)
     assert _strip_to_forest(built) == _strip_to_forest(in_link_order)
 
@@ -472,7 +472,7 @@ def strip_cis(draw):
     n = draw(st.integers(0, 7))
     pairs = list(combinations(range(n), 2))
     if not pairs:
-        return CIGraph(n)
+        return CIGraph.from_links(n)
     links = draw(
         st.lists(
             st.tuples(st.sampled_from(pairs), st.integers(0, 5)),
@@ -480,7 +480,7 @@ def strip_cis(draw):
             unique=True,
         )
     )
-    return CIGraph(n, [Link(a, b, label) for (a, b), label in links])
+    return CIGraph.from_links(n, [Link(a, b, label) for (a, b), label in links])
 
 
 @settings(max_examples=200, deadline=None)
@@ -522,13 +522,24 @@ def test_ci_counts_follow_from_the_degrees(g, seed, pick):
         assert labels == {v for v in g.vertices if g.degree(v) >= 4}
 
 
-@pytest.mark.parametrize("limit", [-1, -20])
-def test_a_negative_oracle_limit_is_refused(limit):
+@pytest.mark.parametrize(
+    "limit, message",
+    [
+        (-1, "at least 0, not -1"),
+        (-20, "at least 0, not -20"),
+        # True ran as a limit of 1, and 2.5 and 3.0 as numbers
+        (True, "an integer, not True"),
+        (2.5, "an integer, not 2.5"),
+        (3.0, "an integer, not 3.0"),
+    ],
+    ids=["-1", "-20", "True", "2.5", "3.0"],
+)
+def test_a_negative_oracle_limit_is_refused(limit, message):
     g = build_family("cycle", k=3)
     for call in (analyze, analyze_components):
-        with pytest.raises(ValueError, match="at least 0"):
+        with pytest.raises(ValueError, match=message):
             call(g, oracle_limit=limit)
-    with pytest.raises(ValueError, match="at least 0"):
+    with pytest.raises(ValueError, match=message):
         exact_decycling_number(g, limit)
     # a limit of 0 still leaves the exact value out
     assert analyze(g, oracle_limit=0).exact is None

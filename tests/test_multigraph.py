@@ -77,7 +77,9 @@ def test_parse_header_vertex_limit(monkeypatch):
         ("# c\n3 x\n", "line 2: expected header 'n m'"),
         ("-1 0\n", "line 1: negative count in header"),
         ("3 -2\n", "line 1: negative count in header"),
+        ("3 3 3\n", "line 1: expected header 'n m'"),
         ("3 1\n0 1 2\n", "line 2: expected edge 'u v'"),
+        ("3 1\n0\n", "line 2: expected edge 'u v'"),
     ],
 )
 def test_parse_rejects_bad_header_and_edge_lines(text, message):
