@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, groupby
-from operator import itemgetter
+from itertools import chain, combinations, groupby
+from operator import itemgetter, lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -43,7 +43,10 @@ class CIGraph:
     ``bundles`` is read-only and every other quantity derives from it.
 
     ``CIGraph(node_count, bundles)`` keeps a copy of ``bundles``, which
-    maps each pair (a, b) with a < b to its labels in ascending order;
+    maps each int pair (a, b) with 0 <= a < b < node_count to a
+    non-empty tuple of its int labels in strictly ascending order, and
+    raises ``ValueError`` otherwise (``TypeError`` for a key or bundle
+    that cannot be iterated);
     ``CIGraph.from_links(node_count, links)`` takes links in any order.
     """
 
@@ -52,7 +55,18 @@ class CIGraph:
 
     def __post_init__(self) -> None:
         # a copy, so a later change to the caller's dict cannot reach the CI
-        object.__setattr__(self, "bundles", MappingProxyType(dict(self.bundles)))
+        bundles, n = dict(self.bundles), self.node_count
+        every_label = chain.from_iterable(bundles.values())
+        if type(n) is not int or n < 0 or not {*map(type, every_label)} <= {int}:
+            raise ValueError("node_count must be an int >= 0, every label an int")
+        for (a, b), labels in bundles.items():
+            if not (
+                type(a) is type(b) is int and 0 <= a < b < n
+                and type(labels) is tuple and labels
+                and (len(labels) == 1 or all(map(lt, labels, labels[1:])))
+            ):
+                raise ValueError(f"bad bundle {(a, b)!r}: {labels!r} on {n} nodes")
+        object.__setattr__(self, "bundles", MappingProxyType(bundles))
 
     @classmethod
     def from_links(cls, node_count: int, links: Iterable[Link] = ()) -> CIGraph:

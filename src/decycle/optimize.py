@@ -18,7 +18,7 @@ from .decompose import (
     CycleDecomposition,
     _decompose_greedy,
     _moves,
-    _peel,
+    enumerate_decompositions,
 )
 from .decycling import _ci_link_count, _construct_decycling
 from .errors import DisconnectedError, InvariantError
@@ -97,10 +97,9 @@ def optimize_decomposition(
         return rank
 
     if method == "exhaustive":
-        # enumerate_decompositions, less the evenness check made above;
         # most decompositions lose on rank and never need a sort_key
-        for chosen in _peel(g, set(g.edge_ids)):
-            consider(None, CycleDecomposition(tuple(chosen)))
+        for d in enumerate_decompositions(g):
+            consider(None, d)
     else:
         # Local search meets the same decompositions and cycle unions
         # over and over: bound, re-split and build the neighbourhood of

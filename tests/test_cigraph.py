@@ -212,6 +212,38 @@ def test_a_later_change_to_the_bundles_dict_leaves_the_ci_alone():
 
 
 @pytest.mark.parametrize(
+    "node_count, bundles",
+    [
+        (2, {(0, 1): ()}),  # an empty bundle gave cycle_rank -1
+        (2, {(0, 3): (5,)}),  # a node out of range gave an IndexError
+        (2, {(0, 1): (7, 5)}),  # unequal to from_links of the same links
+        (2, {(0, 1): (5, 5)}),
+        (2, {(1, 0): (5,)}),
+        (2, {(0, 1): [5]}),  # a list bundle made hash raise TypeError
+        (2, {(0, 1): (5.0,)}),
+        (2, {(0.0, 1): (5,)}),
+        (-1, {}),
+        (True, {}),
+    ],
+    ids=[
+        "empty", "node-out-of-range", "descending", "repeated-label",
+        "reversed-pair", "list-bundle", "float-label", "float-node",
+        "negative-node-count", "bool-node-count",
+    ],
+)
+def test_a_malformed_ci_is_refused(node_count, bundles):
+    with pytest.raises(ValueError):
+        CIGraph(node_count, bundles)
+
+
+def test_from_links_refuses_a_node_out_of_range_or_a_repeated_link():
+    with pytest.raises(ValueError):
+        CIGraph.from_links(2, (Link(0, 2, 5),))
+    with pytest.raises(ValueError):
+        CIGraph.from_links(2, (Link(0, 1, 5), Link(0, 1, 5)))
+
+
+@pytest.mark.parametrize(
     "copy_of", [lambda ci: pickle.loads(pickle.dumps(ci)), copy.deepcopy],
     ids=["pickle", "deepcopy"],
 )

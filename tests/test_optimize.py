@@ -289,9 +289,6 @@ def test_evenness_is_checked_once_per_call(monkeypatch):
     res = optimize_decomposition(g, method="local_search", budget=200)
     assert res.evaluations == 200 and len(calls) == 1
     calls.clear()
-    res = optimize_decomposition(g, method="exhaustive")
-    assert res.evaluations == 297 and len(calls) == 1
-    calls.clear()
     analyze(g)
     assert len(calls) == 1
 
