@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, groupby
-from operator import itemgetter, lt
+from itertools import combinations, groupby
+from operator import lt
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -35,6 +35,12 @@ class Link(NamedTuple):
         return (self.a, self.b)
 
 
+class _Bundles(dict):
+    """Bundles that ``_build_ci`` or ``restrict_ci`` made, which
+    ``CIGraph`` trusts. ``copy()`` and ``dict()`` give a plain dict,
+    so a caller never hands one back unawares."""
+
+
 @dataclass(frozen=True)
 class CIGraph:
     """A node per cycle and, per node pair that shares graph vertices,
@@ -45,34 +51,40 @@ class CIGraph:
     ``CIGraph(node_count, bundles)`` keeps a copy of ``bundles``, which
     maps each int pair (a, b) with 0 <= a < b < node_count to a
     non-empty tuple of its int labels in strictly ascending order, and
-    raises ``ValueError`` otherwise (``TypeError`` for a key or bundle
-    that cannot be iterated);
+    raises ``ValueError`` otherwise (``TypeError`` for a key that cannot
+    be iterated);
     ``CIGraph.from_links(node_count, links)`` takes links in any order.
+    The CIs that ``build_ci``, ``restrict_ci`` and the optimizer make
+    are right by construction: they hand over a ``_Bundles``, which is
+    kept as it is, unchecked.
     """
 
     node_count: int
     bundles: Mapping[tuple[int, int], tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        # a copy, so a later change to the caller's dict cannot reach the CI
-        bundles, n = dict(self.bundles), self.node_count
-        every_label = chain.from_iterable(bundles.values())
-        if type(n) is not int or n < 0 or not {*map(type, every_label)} <= {int}:
-            raise ValueError("node_count must be an int >= 0, every label an int")
-        for (a, b), labels in bundles.items():
-            if not (
-                type(a) is type(b) is int and 0 <= a < b < n
-                and type(labels) is tuple and labels
-                and (len(labels) == 1 or all(map(lt, labels, labels[1:])))
-            ):
-                raise ValueError(f"bad bundle {(a, b)!r}: {labels!r} on {n} nodes")
+        bundles, n = self.bundles, self.node_count
+        if type(bundles) is not _Bundles:
+            # a caller's bundles: check a copy, which a later change to
+            # their dict cannot reach
+            bundles = dict(bundles)
+            if type(n) is not int or n < 0:
+                raise ValueError(f"node_count must be an int >= 0, not {n!r}")
+            for (a, b), labels in bundles.items():
+                if not (
+                    type(a) is type(b) is int and 0 <= a < b < n
+                    and type(labels) is tuple and labels
+                    and all(type(label) is int for label in labels)
+                    and all(map(lt, labels, labels[1:]))
+                ):
+                    raise ValueError(f"bad bundle {(a, b)!r}: {labels!r} on {n} nodes")
         object.__setattr__(self, "bundles", MappingProxyType(bundles))
 
     @classmethod
     def from_links(cls, node_count: int, links: Iterable[Link] = ()) -> CIGraph:
         """The CI with these links, given in any order."""
-        grouped = groupby(sorted(links), itemgetter(0, 1))
-        bundles = {pair: tuple(l[2] for l in group) for pair, group in grouped}
+        grouped = groupby(sorted(links), lambda link: link[:2])
+        bundles = {pair: tuple(l for _, _, l in group) for pair, group in grouped}
         return cls(node_count, bundles)
 
     def __hash__(self) -> int:
@@ -111,7 +123,7 @@ def _build_ci(d: CycleDecomposition) -> CIGraph:
     vertex, in ascending order, adds its label to the bundle of every
     pair of the cycles through it."""
     through = _vertex_cycles(d.cycles)
-    bundles: dict[tuple[int, int], tuple[int, ...]] = {}
+    bundles: dict[tuple[int, int], tuple[int, ...]] = _Bundles()
     get = bundles.get
     for v in sorted(through):
         on = through[v]
@@ -149,21 +161,21 @@ def cycle_rank(ci: CIGraph) -> int:
     return links - len(pairs) + len(_closing_links(ci.node_count, pairs))
 
 
-def restrict_ci(ci: CIGraph, keep: list[int]) -> CIGraph:
+def restrict_ci(ci: CIGraph, keep: Iterable[int]) -> CIGraph:
     """CI subgraph induced on ``keep``; node i of the subgraph is the
-    i-th smallest node of ``keep``. ``ValueError`` for a repeated node
-    or one not in ``ci``."""
-    keep = sorted(keep)
-    index = {old: new for new, old in enumerate(keep)}
+    i-th smallest node of ``keep``. ``ValueError`` for a repeated node,
+    or one that is not an int node of ``ci``."""
+    keep = list(keep)
+    if not all(type(v) is int and 0 <= v < ci.node_count for v in keep):
+        raise ValueError(f"keep must hold int nodes in 0..{ci.node_count - 1}")
+    index = {old: new for new, old in enumerate(sorted(keep))}
     if len(index) < len(keep):
         raise ValueError("keep repeats a node")
-    if keep and not (0 <= keep[0] and keep[-1] < ci.node_count):
-        raise ValueError(f"keep has a node outside 0..{ci.node_count - 1}")
-    bundles = {
+    bundles = _Bundles({
         (index[a], index[b]): labels
         for (a, b), labels in ci.bundles.items()
         if a in index and b in index
-    }
+    })
     return CIGraph(len(keep), bundles)
 
 

@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import sys
 from pathlib import Path
 
@@ -8,6 +10,26 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from decycle.families import build_family, random_even
 from decycle.multigraph import Multigraph
+
+
+# The slowest test takes about a second; a test still running after this
+# many seconds hangs, and the run stops with every thread's traceback.
+HANG_SECONDS = 60
+real_stderr = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # output capture is suspended here, so fd 2 is the run's own stderr;
+    # a dump into the captured one would be lost when the run exits
+    config.stash[real_stderr] = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def hang_guard(request):
+    stderr = request.config.stash[real_stderr]
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from decycle.cigraph import (
 from decycle.decompose import decompose_greedy, enumerate_decompositions
 from decycle.families import build_family, cycle_tree, random_even
 from decycle.multigraph import Multigraph
+from decycle.optimize import optimize_decomposition
 from oracles import (
     oracle_ci_links,
     oracle_lex_first_matching,
@@ -169,13 +170,16 @@ def test_restrict_ci():
     assert [l.pair() for l in sub.links] == [(0, 1)]
     # new node i is the i-th smallest kept node
     assert restrict_ci(ci, [3, 1, 2]).links == (Link(0, 1, 101), Link(1, 2, 102))
+    assert restrict_ci(ci, iter([3, 1, 2])) == restrict_ci(ci, [3, 1, 2])
     assert cycle_rank(sub) == 0
 
 
 def test_restrict_ci_rejects_repeated_or_unknown_nodes():
-    # a repeated node used to count twice: [0, 0, 1] gave three nodes
+    # a repeated node used to count twice: [0, 0, 1] gave three nodes.
+    # True and 1.0 acted as 1, 0.5 made a node that stood for no cycle,
+    # and "1" raised a bare TypeError from sorting
     ci = path_ci(3)
-    for keep in ([0, 0, 1], [0, 4], [-1, 2]):
+    for keep in ([0, 0, 1], [0, 4], [-1, 2], [True, 2], [1.0, 2], [0.5, 2], ["1", 2]):
         with pytest.raises(ValueError):
             restrict_ci(ci, keep)
 
@@ -241,6 +245,51 @@ def test_from_links_refuses_a_node_out_of_range_or_a_repeated_link():
         CIGraph.from_links(2, (Link(0, 2, 5),))
     with pytest.raises(ValueError):
         CIGraph.from_links(2, (Link(0, 1, 5), Link(0, 1, 5)))
+
+
+@pytest.mark.parametrize(
+    "link", [(0,), (0, 1), (0, 1, 5, 9)], ids=["one", "two", "four"]
+)
+def test_from_links_refuses_a_link_that_is_not_three_fields(link):
+    # one or two fields raised a bare IndexError, and a fourth was dropped
+    with pytest.raises(ValueError):
+        CIGraph.from_links(2, [link])
+
+
+@st.composite
+def small_even_graphs(draw):
+    """Even graphs small enough to enumerate every decomposition of."""
+    family = draw(st.sampled_from(["random_even", "theta", "doubled_cycle"]))
+    if family == "random_even":
+        n, cycles = draw(st.integers(2, 7)), draw(st.integers(1, 2))
+        return random_even(n, cycles, seed=draw(st.integers(0, 10_000)))
+    if family == "theta":
+        lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        return build_family("theta", lengths=tuple(lengths * 2))
+    return build_family("doubled_cycle", k=draw(st.integers(2, 5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_even_graphs(), data=st.data())
+def test_the_caller_check_accepts_every_ci_the_library_builds(g, data):
+    # the CIs that build_ci, restrict_ci and the optimizer make skip the
+    # check a caller's bundles get; it must pass them all the same
+    built = [build_ci(g, d) for d in enumerate_decompositions(g)]
+    ci = data.draw(st.sampled_from(built))
+    keep = data.draw(st.lists(st.integers(0, ci.node_count - 1), unique=True))
+    built.append(restrict_ci(ci, keep))
+    method = data.draw(st.sampled_from(["exhaustive", "local_search"]))
+    built.append(optimize_decomposition(g, method, budget=20).best_ci)
+    for ci in built:
+        assert CIGraph(ci.node_count, dict(ci.bundles)) == ci
+        assert type(ci.bundles.copy()) is dict
+
+
+def test_a_built_cis_bundles_are_checked_when_handed_back(doubled_triangle):
+    decos = enumerate_decompositions(doubled_triangle)
+    ci = build_ci(doubled_triangle, next(d for d in decos if len(d.cycles) == 3))
+    with pytest.raises(ValueError):
+        CIGraph(1, ci.bundles)
 
 
 @pytest.mark.parametrize(

@@ -142,6 +142,14 @@ def test_greedy_deterministic(doubled_triangle):
     assert decompose_greedy(doubled_triangle, 9) == decompose_greedy(doubled_triangle, 9)
 
 
+def test_greedy_default_seed_is_zero(doubled_triangle):
+    # seeds 0 and 1 give different decompositions here, so a changed
+    # default would show
+    g = doubled_triangle
+    assert decompose_greedy(g, 0) != decompose_greedy(g, 1)
+    assert decompose_greedy(g) == decompose_greedy(g, 0)
+
+
 # sha256 over the JSON of every decomposition of ``greedy_sweep``. The
 # seed fixes each greedy decomposition, and through it the CLI output for
 # a given --seed, so a change to the walk's random draws shows up here.
