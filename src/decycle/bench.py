@@ -71,7 +71,7 @@ def _spec_int(spec: dict, key: str, default: Optional[int]) -> Optional[int]:
     if value is None and default is None:
         return None
     # JSON true, 2.9 and "7" are not integers, and int() would take them
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise ParseError(f"bench spec '{key}' must be an integer")
     return value
 

@@ -76,8 +76,7 @@ def _load_graph(args) -> Multigraph:
             raise ParseError(f"{flag} does not apply to family {args.family}")
     if args.family is not None:
         # every generator parameter is a flag of the same name
-        values = {name: getattr(args, name) for name in family_params(args.family)}
-        params = {k: v for k, v in values.items() if v is not None}
+        params = {k: getattr(args, k) for k in wanted if getattr(args, k) is not None}
         if "lengths" in params:
             params["lengths"] = tuple(int(x) for x in params["lengths"].split(","))
         return build_family(args.family, **params)

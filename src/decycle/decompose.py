@@ -56,11 +56,9 @@ class CycleDecomposition:
             )
         verts = obj["cycles"]
         eids = obj["edge_ids"]
-        try:
+        try:  # the ids are checked with the rest of the decomposition
             same_length = len(verts) == len(eids)
-            cycles = tuple(
-                Cycle(_json_ints(vs), _json_ints(es)) for vs, es in zip(verts, eids)
-            )
+            cycles = tuple(Cycle(tuple(vs), tuple(es)) for vs, es in zip(verts, eids))
         except TypeError:
             raise ParseError(
                 "decomposition 'cycles' and 'edge_ids' must be lists of integer lists"
@@ -70,14 +68,6 @@ class CycleDecomposition:
                 "cycles and edge_ids lists differ in length"
             )
         return cls(cycles)
-
-
-def _json_ints(values) -> tuple[int, ...]:
-    out = tuple(values)
-    # JSON true, 1.9 and "01" are not integers, and int() would take them
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in out):
-        raise TypeError
-    return out
 
 
 def _sorted_cycles(cycles) -> tuple[Cycle, ...]:
@@ -92,6 +82,12 @@ def decomposition_violations(g: Multigraph, d: CycleDecomposition) -> list[str]:
     problems: list[str] = []
     used: dict[int, int] = {}
     for idx, cyc in enumerate(d.cycles):
+        # 1.0 and True would pass for the id 1 below, and a report would
+        # echo them where its JSON reader refuses them
+        odd = [x for x in (*cyc.vertices, *cyc.edges) if type(x) is not int]
+        if odd:
+            problems.append(f"cycle {idx}: id {odd[0]!r} is not an int")
+            continue
         k = len(cyc.vertices)
         if k != len(cyc.edges):
             problems.append(f"cycle {idx}: vertex and edge counts differ")
@@ -146,7 +142,10 @@ def decompose_greedy(g: Multigraph, seed: int = 0) -> CycleDecomposition:
 
 
 def _decompose_greedy(g: Multigraph, seed: int) -> CycleDecomposition:
-    """``decompose_greedy`` of a graph already known to be even."""
+    """``decompose_greedy`` of a graph already known to be even;
+    ``ValueError`` for a seed that is not exactly an ``int``."""
+    if type(seed) is not int:  # random.Random would take True as 1
+        raise ValueError(f"seed must be an int, not {seed!r}")
     getrandbits = random.Random(seed).getrandbits
     # the residual edges at each vertex, in id order
     incident = {v: list(flat[::2]) for v, flat in g._adjacency.items()}

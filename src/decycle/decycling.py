@@ -40,8 +40,8 @@ DEFAULT_ORACLE_LIMIT = 20
 
 def verify_decycling(g: Multigraph, s: Iterable[int]) -> bool:
     """True iff deleting ``s`` leaves an acyclic graph; ``ValueError``
-    for a vertex id not in ``g``, ``TypeError`` for one not an integer
-    or a bool."""
+    for a vertex id not in ``g``, ``TypeError`` for one that is not
+    exactly an ``int``."""
     gone = _id_set(s)
     unknown = gone.difference(g.vertices)
     if unknown:

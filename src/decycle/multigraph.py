@@ -12,7 +12,6 @@ threads; every operation returns a new graph.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping
 
@@ -40,15 +39,16 @@ class DecyclingSet:
 
 
 def _as_id(x) -> int:
-    """``x`` as an integer id; ``TypeError`` for a bool or a non-integer."""
-    if isinstance(x, bool):
-        raise TypeError(f"id {x!r} is a bool, not an integer")
-    return operator.index(x)
+    """``x`` if it is exactly an ``int``; ``TypeError`` for anything
+    else, a bool, an ``IntEnum`` member or a NumPy integer too."""
+    if type(x) is not int:
+        raise TypeError(f"id {x!r} is not an int")
+    return x
 
 
 def _id_set(ids: Iterable) -> set[int]:
-    """The set of ``ids`` as integers, checked as by ``_as_id``; ids that
-    are exactly ``int``, the usual case, are taken as they are."""
+    """The set of ``ids``, each checked as by ``_as_id``; ids that are
+    exactly ``int``, the usual case, skip the call."""
     return {x if x.__class__ is int else _as_id(x) for x in ids}
 
 
@@ -62,8 +62,8 @@ class Multigraph:
 
         ``edges`` is either a mapping ``edge id -> (u, v)`` or an iterable
         of ``(edge id, (u, v))`` pairs. Endpoints must be distinct existing
-        vertices; edge ids must be unique. Ids that are not integers, or
-        are bools, raise ``TypeError``.
+        vertices; edge ids must be unique. An id that is not exactly an
+        ``int`` raises ``TypeError``.
         """
         vertex_set = _id_set(vertices)
         items = edges.items() if isinstance(edges, Mapping) else edges

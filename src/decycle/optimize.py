@@ -59,8 +59,10 @@ def optimize_decomposition(
     ``local_search`` restarts greedy decompositions and walks improving
     neighbor moves until the evaluation budget runs out.
     """
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget <= 0:
+    if type(budget) is not int or budget <= 0:
         raise ValueError(f"budget must be a positive integer, not {budget!r}")
+    if type(seed) is not int:  # seed + restart would take True as 1
+        raise ValueError(f"seed must be an int, not {seed!r}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     _require_even(g)

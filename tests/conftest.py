@@ -1,3 +1,4 @@
+import enum
 import faulthandler
 import os
 import sys
@@ -58,6 +59,28 @@ def c5():
 def raw(g: Multigraph):
     """Plain data view consumed by the brute-force oracles."""
     return list(g.vertices), [(u, v) for _, u, v in g.edges()]
+
+
+class Index:
+    """Not an int, yet usable as one through ``__index__``, like a NumPy
+    integer; every integer input of the library refuses it."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __repr__(self) -> str:
+        return f"Index({self.value})"
+
+
+class Small(enum.IntEnum):
+    """``IntEnum`` members are int subclasses, refused like bools."""
+
+    ZERO = 0
+    ONE = 1
+    THREE = 3
 
 
 def refuse_graph_build(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import Index, Small
 from decycle.cigraph import (
     CIGraph,
     Link,
@@ -179,7 +180,10 @@ def test_restrict_ci_rejects_repeated_or_unknown_nodes():
     # True and 1.0 acted as 1, 0.5 made a node that stood for no cycle,
     # and "1" raised a bare TypeError from sorting
     ci = path_ci(3)
-    for keep in ([0, 0, 1], [0, 4], [-1, 2], [True, 2], [1.0, 2], [0.5, 2], ["1", 2]):
+    for keep in (
+        [0, 0, 1], [0, 4], [-1, 2], [True, 2], [1.0, 2], [0.5, 2], ["1", 2],
+        [Index(1), 2], [Small.ONE, 2],
+    ):
         with pytest.raises(ValueError):
             restrict_ci(ci, keep)
 
@@ -228,11 +232,16 @@ def test_a_later_change_to_the_bundles_dict_leaves_the_ci_alone():
         (2, {(0.0, 1): (5,)}),
         (-1, {}),
         (True, {}),
+        (Index(2), {}),
+        (Small.THREE, {}),
+        (2, {(0, Index(1)): (5,)}),
+        (2, {(0, 1): (Small.ONE,)}),
     ],
     ids=[
         "empty", "node-out-of-range", "descending", "repeated-label",
         "reversed-pair", "list-bundle", "float-label", "float-node",
-        "negative-node-count", "bool-node-count",
+        "negative-node-count", "bool-node-count", "index-node-count",
+        "intenum-node-count", "index-node", "intenum-label",
     ],
 )
 def test_a_malformed_ci_is_refused(node_count, bundles):
@@ -245,6 +254,10 @@ def test_from_links_refuses_a_node_out_of_range_or_a_repeated_link():
         CIGraph.from_links(2, (Link(0, 2, 5),))
     with pytest.raises(ValueError):
         CIGraph.from_links(2, (Link(0, 1, 5), Link(0, 1, 5)))
+    # nodes and labels that are only usable as ints
+    for link in ((0, Index(1), 5), (Small.ZERO, 1, 5), (0, 1, Index(5))):
+        with pytest.raises(ValueError):
+            CIGraph.from_links(2, [link])
 
 
 @pytest.mark.parametrize(

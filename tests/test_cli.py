@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import refuse_graph_build
+from conftest import Index, Small, refuse_graph_build
 from decycle import bench, cli, multigraph
 from decycle.cigraph import build_ci
 from decycle.cigraph import to_dot as ci_to_dot
@@ -550,7 +550,7 @@ def test_decomposition_ids_must_be_json_integers(tmp_path, capsys, bad):
         "analyze", "--family", "doubled_cycle", "--k", "3", "--decomposition", str(p),
     )
     assert code == 1
-    assert err.startswith("error:") and "integer lists" in err
+    assert err.startswith("error: cycle 0: id ") and " is not an int" in err
 
 
 def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
@@ -576,6 +576,17 @@ def test_bench_instance_missing_key_is_usage_error(tmp_path, capsys):
         code, _, err = run(capsys, "bench", str(spec_path))
         assert code == 1
         assert err.startswith("error:") and key in err
+
+
+@pytest.mark.parametrize("key", ["seed", "budget", "oracle_limit"])
+@pytest.mark.parametrize(
+    "value", [Index(3), Small.THREE], ids=["index", "intenum"]
+)
+def test_bench_spec_values_must_be_exact_ints(key, value):
+    # a spec built in Python can hold what JSON cannot
+    spec = {"instances": [{"family": "cycle", "params": {"k": 3}}], key: value}
+    with pytest.raises(ParseError, match=f"^bench spec '{key}' must be an integer$"):
+        bench.run_bench(spec)
 
 
 def test_bench_unknown_key_is_usage_error(tmp_path, capsys, monkeypatch):

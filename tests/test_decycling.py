@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import greedy_graphs, raw
+from conftest import Index, Small, greedy_graphs, raw
 from decycle.cigraph import CIGraph, Link, build_ci, cycle_rank, max_matching, msf
 from decycle.decompose import (
+    Cycle,
     CycleDecomposition,
     decompose_greedy,
     enumerate_decompositions,
+    neighbors,
 )
 from decycle.decycling import (
     _ci_link_count,
@@ -45,7 +47,9 @@ def test_verify_decycling(triangle, doubled_triangle):
 
 
 @pytest.mark.parametrize(
-    "s", [[0.7], ["1"], [False]], ids=["float", "str", "bool"]
+    "s",
+    [[0.7], ["1"], [False], [Index(0)], [Small.ZERO]],
+    ids=["float", "str", "bool", "index", "intenum"],
 )
 def test_verify_decycling_rejects_non_integer_ids(s):
     # 0.7 and False are not vertex 0, whose deletion would decycle the cycle
@@ -266,6 +270,68 @@ def test_analyze_rejects_bad_input(theta_graph):
         analyze(two)
     with pytest.raises(InvalidDecompositionError):
         analyze(theta_graph, CycleDecomposition(()))
+
+
+def _through_ci(g, d):
+    """``decycle_general`` of ``d``, with the CI of a valid decomposition."""
+    return decycle_general(g, d, build_ci(g, decompose_greedy(g)))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [analyze, analyze_components, build_ci, _through_ci, neighbors],
+    ids=["analyze", "analyze_components", "build_ci", "decycle_general",
+         "neighbors"],
+)
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        ((0, 1.0, 2), (0, 1, 2)),
+        ((0, True, 2), (0, 1, 2)),
+        ((0, "1", 2), (0, 1, 2)),
+        ((0, Index(1), 2), (0, 1, 2)),
+        ((0, Small.ONE, 2), (0, 1, 2)),
+        ((0, 1, 2), (0.0, 1, 2)),
+        ((0, 1, 2), (False, 1, 2)),
+        ((0, 1, 2), (Index(0), 1, 2)),
+        ((0, 1, 2), (Small.ZERO, 1, 2)),
+    ],
+    ids=["float_vertex", "bool_vertex", "str_vertex", "index_vertex",
+         "intenum_vertex", "float_edge_id", "bool_edge_id", "index_edge_id",
+         "intenum_edge_id"],
+)
+def test_a_decomposition_id_must_be_an_int(entry, vertices, edges):
+    # 1.0 and True passed for vertex 1, and a report echoed them as 1.0
+    # and true, which the decomposition JSON reader refuses
+    g = build_family("cycle", k=3)
+    d = CycleDecomposition((Cycle(vertices, edges),))
+    message = "^cycle 0: id .* is not an int"
+    with pytest.raises(InvalidDecompositionError, match=message):
+        entry(g, d)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda g, seed: analyze(g, seed=seed),
+        lambda g, seed: analyze_components(g, seed=seed),
+        decompose_greedy,
+        lambda g, seed: optimize_decomposition(g, "exhaustive", seed=seed),
+        lambda g, seed: optimize_decomposition(g, "local_search", seed=seed),
+    ],
+    ids=["analyze", "analyze_components", "decompose_greedy",
+         "optimize_exhaustive", "optimize_local_search"],
+)
+@pytest.mark.parametrize(
+    "seed",
+    [True, 2.5, "abc", Index(1), Small.ONE],
+    ids=["bool", "float", "str", "index", "intenum"],
+)
+def test_a_walk_seed_must_be_an_int(entry, seed):
+    # True ran as seed 1, 2.5 and "abc" as hashed seeds, and the local
+    # search died on seed + restart with a bare TypeError
+    with pytest.raises(ValueError, match="^seed must be an int, not "):
+        entry(build_family("doubled_cycle", k=3), seed)
 
 
 def test_analyze_components_and_merge():
@@ -531,8 +597,10 @@ def test_ci_counts_follow_from_the_degrees(g, seed, pick):
         (True, "an integer, not True"),
         (2.5, "an integer, not 2.5"),
         (3.0, "an integer, not 3.0"),
+        (Index(3), r"an integer, not Index\(3\)"),
+        (Small.THREE, "an integer, not <Small.THREE: 3>"),
     ],
-    ids=["-1", "-20", "True", "2.5", "3.0"],
+    ids=["-1", "-20", "True", "2.5", "3.0", "index", "intenum"],
 )
 def test_a_negative_oracle_limit_is_refused(limit, message):
     g = build_family("cycle", k=3)

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from conftest import refuse_graph_build
+from conftest import Index, Small, refuse_graph_build
 from decycle.cigraph import build_ci, cycle_rank
 from decycle.decompose import decompose_greedy
 from decycle.errors import DomainError, ParseError
@@ -131,6 +131,21 @@ def test_family_validation_errors():
         (
             "theta",
             {"lengths": 4},
+            "bad parameters for family 'theta': lengths must be a list of integers",
+        ),
+        (
+            "cycle",
+            {"k": Index(3)},
+            "bad parameters for family 'cycle': k must be an integer",
+        ),
+        (
+            "random_even",
+            {"n": 7, "cycles": Small.THREE},
+            "bad parameters for family 'random_even': cycles must be an integer",
+        ),
+        (
+            "theta",
+            {"lengths": (1, 2, Index(2), 2)},
             "bad parameters for family 'theta': lengths must be a list of integers",
         ),
     ],

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import raw, refuse_graph_build
+from conftest import Index, Small, raw, refuse_graph_build
 from decycle.errors import ParseError
 from decycle.families import random_even
 from decycle.multigraph import (
@@ -115,12 +115,21 @@ def test_constructor_rejects_duplicate_edge_id():
         ([True, 0], {}),
         ([0, 1], {False: (0, 1)}),
         ([0, 1], {0: (True, 0), 1: (0, 1)}),
+        ([Index(0), 1], {}),
+        ([0, 1], {Index(0): (0, 1)}),
+        ([0, 1], {0: (0, Index(1))}),
+        ([Small.ONE, 0], {}),
+        ([0, 1], {Small.ZERO: (0, 1)}),
+        ([0, 1], {0: (Small.ZERO, 1)}),
     ],
     ids=["float_vertex", "str_vertex", "float_edge_id", "float_end", "str_end",
-         "bool_vertex", "bool_edge_id", "bool_end"],
+         "bool_vertex", "bool_edge_id", "bool_end", "index_vertex",
+         "index_edge_id", "index_end", "intenum_vertex", "intenum_edge_id",
+         "intenum_end"],
 )
 def test_constructor_rejects_non_integer_ids(vertices, edges):
-    # 1.9 is not vertex 1, "2" is not vertex 2, and True is not vertex 1
+    # 1.9 is not vertex 1, "2" is not vertex 2, and True is not vertex 1;
+    # an id that is only usable as an int is not one either
     with pytest.raises(TypeError):
         Multigraph(vertices, edges)
 
@@ -172,7 +181,9 @@ def test_delete_vertices_unknown_vertex(triangle):
 
 
 @pytest.mark.parametrize(
-    "remove", [[2.2], ["1"], [True]], ids=["float", "str", "bool"]
+    "remove",
+    [[2.2], ["1"], [True], [Index(1)], [Small.ONE]],
+    ids=["float", "str", "bool", "index", "intenum"],
 )
 def test_delete_vertices_rejects_non_integer_ids(triangle, remove):
     with pytest.raises(TypeError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import Index, Small
 from decycle import decompose, multigraph, optimize
 from decycle.cigraph import build_ci, cycle_rank
 from decycle.decompose import CycleDecomposition
@@ -82,7 +83,11 @@ def test_rejects_disconnected_graph(method):
         optimize_decomposition(two, method=method)
 
 
-@pytest.mark.parametrize("budget", [0, -3, 2.5, True, "7", None])
+@pytest.mark.parametrize(
+    "budget",
+    [0, -3, 2.5, True, "7", None,
+     pytest.param(Index(7), id="index"), pytest.param(Small.THREE, id="intenum")],
+)
 @pytest.mark.parametrize("method", METHODS)
 def test_budget_must_be_a_positive_integer(doubled_triangle, method, budget):
     with pytest.raises(ValueError, match="budget"):
